@@ -80,7 +80,7 @@ _DEFAULTS: dict[str, dict] = {
         "tau": 1.0,
         "half": 8.0,
         "counts": 65,
-        "m": 440,
+        "m": 520,
         "levels": 3,
         "angular_sign": 1,
         "scaling": 2.0,

@@ -38,7 +38,3 @@ class EigensolverError(HeislabError, RuntimeError):
 
 class NoConventionFoundError(HeislabError, RuntimeError):
     """No (scaling, angular sign) combination produced an acceptable eigen-residual."""
-
-
-class GeometryCertificateError(HeislabError, RuntimeError):
-    """Sampled energies never exhibited the required mountain-pass geometry."""

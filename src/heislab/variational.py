@@ -27,15 +27,17 @@ Design notes that matter for correctness:
 
 The mountain-pass solver deforms a discrete path from 0 to a negative-energy
 endpoint: the energy-maximal interior node takes line-searched descent steps
-orthogonal to the local path tangent, with periodic arclength re-spacing; the
-logged (energy, gradient-norm) sequence is the Palais-Smale sequence the
-monitor inspects.
+orthogonal to the local path tangent, with periodic arclength re-spacing.  It
+then descends on the ray-peak (Nehari) set, rescaling each iterate w to the
+exact maximizer of the scalar profile t -> J(t w), which is built from the
+direction's three quadratures (T, F, C).  The logged (energy, gradient-norm)
+sequence is the Palais-Smale sequence the monitor inspects.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -389,16 +391,74 @@ def hw_norm(u: ScalarField, problem: KirchhoffProblem) -> float:
     return float((s + pot) ** (1.0 / problem.p))
 
 
+@dataclass(frozen=True)
+class _RayProfile:
+    """phi(t) = J(t w) = Mprim(t^p T)/p - lambda F t^{r_g} - C t^{p*}/p*, t > 0.
+
+    Exact by homogeneity, given the direction's quadratures T = ||D_H w||_p^p +
+    int V |w|^p, F = int a |w|^{r_g} / r_g and C = int |w|^{p*}; phi(1) is J(w).
+    """
+
+    problem: KirchhoffProblem
+    T: float
+    F: float
+    C: float
+
+    @classmethod
+    def of(cls, u: ScalarField, problem: KirchhoffProblem, a) -> "_RayProfile":
+        """One _norm_terms pass plus two sums; ``a`` is the weight on the grid."""
+        w = u.grid.cell_volume
+        s, pot = _norm_terms(u, problem)
+        F = float(np.sum(problem.nonlinearity.big_f(a, u.values)) * w)
+        return cls(problem, s + pot, F, float(np.sum(np.abs(u.values) ** problem.p_star) * w))
+
+    def value(self, t: float) -> float:
+        pr, r, ps = self.problem, self.problem.nonlinearity.r_g, self.problem.p_star
+        term_m = pr.kirchhoff.primitive(t ** pr.p * self.T) / pr.p
+        return term_m - pr.lam * self.F * t ** r - self.C * t ** ps / ps
+
+    def slope(self, t: float) -> float:
+        pr, r, ps = self.problem, self.problem.nonlinearity.r_g, self.problem.p_star
+        term_m = pr.kirchhoff.m(t ** pr.p * self.T) * self.T * t ** (pr.p - 1.0)
+        return term_m - pr.lam * r * self.F * t ** (r - 1.0) - self.C * t ** (ps - 1.0)
+
+    def peak(self) -> tuple[float, float]:
+        """(t*, phi(t*)) at the maximum of phi over t > 0: the largest of 25
+        geometric samples on [1/8, 8] (moved 256-fold toward an edge maximum)
+        brackets a sign change of phi', bisected in log t to double precision."""
+        lo, hi, bracket = 0.125, 8.0, None
+        for _ in range(60):
+            ts = [float(t) for t in np.geomspace(lo, hi, 25)]
+            try:
+                i = int(np.argmax([self.value(t) for t in ts]))
+            except OverflowError:
+                break
+            if i == 0:
+                hi, lo = ts[1], lo / 256.0
+            elif i == len(ts) - 1:
+                lo, hi = ts[-2], hi * 256.0
+            else:
+                bracket = ts[i - 1], ts[i + 1]
+                break
+        if bracket is None or not self.slope(bracket[0]) > 0.0 > self.slope(bracket[1]):
+            raise RuntimeError(f"no interior ray peak (T = {self.T:.6g}, F = {self.F:.6g}, "
+                               f"C = {self.C:.6g}; last window [{lo:.3g}, {hi:.3g}])")
+        a, b = math.log(bracket[0]), math.log(bracket[1])
+        mid, eps = 0.5 * (a + b), np.finfo(float).eps
+        while b - a > eps and a < mid < b:
+            if self.slope(math.exp(mid)) > 0.0:
+                a = mid
+            else:
+                b = mid
+            mid = 0.5 * (a + b)
+        t = math.exp(mid)
+        return t, self.value(t)
+
+
 def energy(u: ScalarField, problem: KirchhoffProblem) -> float:
     """J(u) = Mprim(T)/p - lambda * int a F(u) - (1/p*) int |u|^{p*}."""
     _check_admissible(u, problem)
-    w = u.grid.cell_volume
-    s, pot = _norm_terms(u, problem)
-    term_m = problem.kirchhoff.primitive(s + pot) / problem.p
-    a = problem.nonlinearity.weight_values(problem.grid)
-    term_f = float(np.sum(problem.nonlinearity.big_f(a, u.values)) * w)
-    term_c = float(np.sum(np.abs(u.values) ** problem.p_star) * w) / problem.p_star
-    return term_m - problem.lam * term_f - term_c
+    return _RayProfile.of(u, problem, problem.nonlinearity.weight_values(problem.grid)).value(1.0)
 
 
 def gradient(u: ScalarField, problem: KirchhoffProblem) -> ScalarField:
@@ -809,50 +869,8 @@ def _path_descent(
     }
 
 
-def _ray_peak(j_fn, w: np.ndarray, t_init: float = 1.0) -> tuple[float, float]:
-    """Maximize t -> j_fn(t w) over t > 0: coarse geometric scan, then golden.
-
-    For the energies handled here the ray profile rises from 0 and is
-    eventually unbounded below, so a positive peak always exists.
-    """
-    t0 = max(float(t_init), 1e-300)
-    lo, hi = t0 / 8.0, t0 * 8.0
-    for _ in range(60):
-        ts = np.geomspace(lo, hi, 25)
-        vals = np.array([j_fn(t * w) for t in ts])
-        i = int(np.argmax(vals))
-        if i == 0:
-            hi, lo = ts[1], lo / 256.0
-        elif i == len(ts) - 1:
-            lo, hi = ts[-2], hi * 256.0
-        else:
-            lo, hi = ts[i - 1], ts[i + 1]
-            break
-    else:
-        raise RuntimeError("ray peak bracketing failed")
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(lo), math.log(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = j_fn(math.exp(c) * w)
-    fd = j_fn(math.exp(d) * w)
-    for _ in range(60):
-        if b - a <= 1e-12:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = j_fn(math.exp(c) * w)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = j_fn(math.exp(d) * w)
-    t_star = math.exp(0.5 * (a + b))
-    return t_star, j_fn(t_star * w)
-
-
 def _nehari_descent(
-    j_fn,
+    peak_fn,
     grad_fn,
     inner,
     u0: np.ndarray,
@@ -870,13 +888,14 @@ def _nehari_descent(
     gradient vanishes, so the loop drives the plain gradient norm to ``tol``.
     Convergence additionally requires the logged energy tail to be Cauchy
     over ``energy_window`` iterations (the certificate ps_monitor checks),
-    so the returned log is a complete PS-sequence record.
+    so the returned log is a complete PS-sequence record.  ``peak_fn(w)``
+    returns (t*, J(t* w)) at the peak of the ray through w.
     """
 
     def norm(x):
         return math.sqrt(max(inner(x, x), 0.0))
 
-    t_star, j0 = _ray_peak(j_fn, u0, 1.0)
+    t_star, j0 = peak_fn(u0)
     u = t_star * u0
     energies, grad_norms, norms = [], [], []
     step = 1.0
@@ -902,7 +921,7 @@ def _nehari_descent(
             w = u - s * g
             nw = norm(w)
             if nw > 0 and math.isfinite(nw):
-                t_s, j_s = _ray_peak(j_fn, w, 1.0)
+                t_s, j_s = peak_fn(w)
                 if math.isfinite(j_s) and j_s < j0 - 1e-14 * (1.0 + abs(j0)):
                     u = t_s * w
                     j0 = j_s
@@ -947,8 +966,6 @@ def mountain_pass_solve(
     je = energy(e, problem)
     if not je < 0:
         raise ValueError(f"endpoint must have negative energy (got J = {je:.6g})")
-    if hw_norm(e, problem) == 0:
-        raise ValueError("endpoint must be nonzero")
     if nodes < 3:
         raise ValueError("need at least 3 path nodes")
     grid = problem.grid
@@ -963,38 +980,25 @@ def mountain_pass_solve(
     def inner(xv: np.ndarray, yv: np.ndarray) -> float:
         return float(np.dot(xv, yv) * w)
 
+    a = problem.nonlinearity.weight_values(grid)
+
+    def peak_fn(vec: np.ndarray) -> tuple[float, float]:
+        return _RayProfile.of(ScalarField(grid, vec.reshape(grid.counts)), problem, a).peak()
+
     base = e.values.ravel()
     path = [(i / (nodes - 1)) * base for i in range(nodes)]
     out = _path_descent(
         j_fn, grad_fn, path, inner, tol=tol, max_iter=max_iter, climb=False
     )
-    energies = list(out["energies"])
-    grad_norms = list(out["gradient_norms"])
-    norms = list(out["norms"])
-    final = {
-        "u_star": out["u_star"],
-        "energy": out["energy"],
-        "gradient_norm": out["gradient_norm"],
-        "converged": out["converged"],
-        "stagnated": out["stagnated"],
-        "iterations": out["iterations"],
-    }
+    final = out
     budget_left = max_iter - out["iterations"]
     if not out["converged"] and budget_left > 0:
         fine = _nehari_descent(
-            j_fn, grad_fn, inner, out["u_star"], out["tol"], budget_left
+            peak_fn, grad_fn, inner, out["u_star"], out["tol"], budget_left
         )
-        energies += fine["energies"]
-        grad_norms += fine["gradient_norms"]
-        norms += fine["norms"]
-        final = {
-            "u_star": fine["u_star"],
-            "energy": fine["energy"],
-            "gradient_norm": fine["gradient_norm"],
-            "converged": fine["converged"],
-            "stagnated": fine["stagnated"],
-            "iterations": out["iterations"] + fine["iterations"],
-        }
+        final = dict(fine, iterations=out["iterations"] + fine["iterations"])
+        for key in ("energies", "gradient_norms", "norms"):
+            final[key] = out[key] + fine[key]
     u_star = ScalarField(grid, final["u_star"].reshape(grid.counts))
     flags = {
         "converged": final["converged"],
@@ -1008,9 +1012,9 @@ def mountain_pass_solve(
         u_star=u_star,
         energy=final["energy"],
         gradient_norm=final["gradient_norm"],
-        energies=energies,
-        gradient_norms=grad_norms,
-        norms=norms,
+        energies=final["energies"],
+        gradient_norms=final["gradient_norms"],
+        norms=final["norms"],
         threshold=threshold,
         flags=flags,
         iterations=final["iterations"],

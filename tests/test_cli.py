@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from heislab import cli
+from heislab import cli, cluster_eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +219,19 @@ def test_spectra_campaign(tmp_path):
     res = _csv_lines(tmp_path / "residuals.csv")
     assert res[0] == "j,k,scaling,angular_sign,residual"
     assert len(res) == 1 + 2
+
+
+def test_spectra_default_config_holds_the_whole_third_level(tmp_path):
+    # at 65^2 Landau level 3 spans indices 345-487 (143 states); a default m
+    # inside it biases the fitted centre (95 members give 18.4175, all 18.6103)
+    cfg = cli.resolve_config("spectra", None, {"out": str(tmp_path)})
+    code, report, _ = cli.run(cfg)
+    assert code == 0 and report["ok"]
+    ladder = report["results"]["ladder"]
+    assert ladder["populations"][2] == 143
+    eigs = report["results"]["eigenvalues"]
+    # the level is followed by further eigenvalues, so it is not cut short
+    assert cluster_eigenvalues(eigs, rel_gap=ladder["rel_gap_used"])[-1][0] > ladder["centers"][2]
 
 
 def test_weyl_campaign(tmp_path):

@@ -4,7 +4,8 @@ Oracles: closed-form Kirchhoff coefficients and thresholds recomputed from
 independent arithmetic, an exact 4-term ray decomposition of the energy
 rebuilt from quadrature primitives, second-order finite differences against
 the assembled gradient, a hand toy saddle for the path solver, and a
-closed-form ray peak for the constrained-descent projection.
+closed-form ray peak, checked against dense energy scans, for the
+constrained-descent projection.
 """
 
 import math
@@ -35,7 +36,8 @@ from heislab import (
     validate_exponents,
     zero_boundary,
 )
-from heislab.variational import _path_descent, _ray_peak
+from heislab import variational
+from heislab.variational import _path_descent, _RayProfile
 
 
 def desk_problem(counts=9, lam=50.0, half=4.0):
@@ -461,25 +463,87 @@ def test_path_descent_needs_interior_node():
 
 
 def test_ray_peak_closed_form():
-    # phi(t) = t^2 - t^4 peaks at t = 1/sqrt(2) with value 1/4
-    def j_fn(v):
-        return float(v[0] ** 2 - v[0] ** 4)
+    # p = 2, p* = 4, M = 2, T = 1, lambda = 0, C = 4: phi(t) = t^2 - t^4 peaks
+    # at t = 1/sqrt(2) with value 1/4
+    grid = BoxGrid((-1.0,) * 3, (1.0,) * 3, (5,) * 3)
+    prob = KirchhoffProblem(
+        n=1, p=2.0, lam=0.0, kirchhoff=KirchhoffM.nondegenerate(2.0),
+        nonlinearity=GrowthNonlinearity(3.5, 3.5), grid=grid,
+    )
+    t_star, val = _RayProfile(prob, T=1.0, F=0.0, C=4.0).peak()
+    assert t_star == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-13)
+    assert val == pytest.approx(0.25, rel=1e-13)
+    # bracketing walks to peaks far from the initial scale: (100 t)^2 - (100 t)^4
+    t_far, _ = _RayProfile(prob, T=1e4, F=0.0, C=4e8).peak()
+    assert t_far == pytest.approx(1.0 / (100 * math.sqrt(2.0)), rel=1e-13)
 
-    t_star, val = _ray_peak(j_fn, np.array([1.0]))
-    assert t_star == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-5)
-    assert val == pytest.approx(0.25, rel=1e-10)
-    # bracketing walks to peaks far from the initial scale
-    t_far, _ = _ray_peak(lambda v: float((100 * v[0]) ** 2 - (100 * v[0]) ** 4), np.array([1.0]))
-    assert t_far == pytest.approx(1.0 / (100 * math.sqrt(2.0)), rel=1e-4)
+
+def _scan_peak(prob, w, t_lo, t_hi, rounds=6, points=41):
+    """Argmax of t -> energy(t w) by repeated dense log-spaced scans."""
+    for _ in range(rounds):
+        ts = np.geomspace(t_lo, t_hi, points)
+        js = [energy(ScalarField(prob.grid, t * w.values), prob) for t in ts]
+        i = int(np.argmax(js))
+        assert 0 < i < points - 1, "scan window misses the peak"
+        t_lo, t_hi = ts[i - 1], ts[i + 1]
+    return math.sqrt(t_lo * t_hi)
 
 
-def test_mountain_pass_solve_small():
+RAY_PEAK_CASES = {
+    "b=0": {"kirchhoff": KirchhoffM.nondegenerate(2.0)},
+    "b>0": {},
+    "degenerate": {"kirchhoff": KirchhoffM.degenerate(1.0, 1.5)},
+    "p=1.5": {  # p* = 2.4
+        "p": 1.5,
+        "kirchhoff": KirchhoffM.nondegenerate(1.0),
+        "nonlinearity": GrowthNonlinearity(2.0, 2.0),
+    },
+    "callable": {
+        "nonlinearity": GrowthNonlinearity(
+            3.5, 3.5, weight=lambda x, y, t: 1.0 + 0.5 * np.exp(-x * x - y * y)
+        ),
+        "potential": lambda x, y, t: 1.0 + 0.1 * x * x + 0.05 * t * t,
+        "v0": 1.0,
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(RAY_PEAK_CASES))
+def test_ray_peak_matches_dense_energy_scan(case):
+    grid = BoxGrid((-4.0,) * 3, (4.0,) * 3, (9,) * 3)
+    data = {
+        "n": 1, "p": 2.0, "lam": 5.0, "grid": grid,
+        "kirchhoff": KirchhoffM.nondegenerate(1.0, b=1.0, kappa=1.5),
+        "nonlinearity": GrowthNonlinearity(3.5, 3.5),
+    }
+    prob = KirchhoffProblem(**{**data, **RAY_PEAK_CASES[case]})
+    a = prob.nonlinearity.weight_values(grid)
+    w = random_dirichlet_field(grid, seed=3, bumps=2)
+    t_peak, j_peak = _RayProfile.of(w, prob, a).peak()
+    assert t_peak == pytest.approx(_scan_peak(prob, w, t_peak / 4.0, t_peak * 4.0), rel=1e-6)
+    assert j_peak > 0
+    assert j_peak == pytest.approx(energy(ScalarField(grid, t_peak * w.values), prob), rel=1e-12)
+    zero = ScalarField(grid, np.zeros(grid.counts))
+    with pytest.raises(RuntimeError, match="no interior ray peak"):
+        _RayProfile.of(zero, prob, a).peak()
+    with pytest.raises(RuntimeError, match="no interior ray peak"):
+        _RayProfile(prob, T=1.0, F=0.0, C=0.0).peak()  # phi rises without bound
+
+
+def test_mountain_pass_solve_small(monkeypatch):
     prob = desk_problem()
     v0 = random_dirichlet_field(prob.grid, seed=1, bumps=2)
     v0 = ScalarField(prob.grid, v0.values / hw_norm(v0, prob))
     rs = ray_scan(v0, prob, t_max=60.0, steps=400)
     e = ScalarField(prob.grid, rs["t_negative"] * v0.values)
+    calls = []
+    monkeypatch.setattr(
+        variational, "energy", lambda *a: calls.append(1) or energy(*a)
+    )
     mp = mountain_pass_solve(prob, e, nodes=7, max_iter=8000)
+    monkeypatch.undo()
+    # ray peaks come from the closed-form profile, not from energy calls
+    assert len(calls) <= 2 * mp.iterations
     assert mp.flags["converged"]
     assert mp.flags["positive_norm"]
     assert mp.flags["positive_energy"]

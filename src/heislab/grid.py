@@ -191,13 +191,6 @@ class HorizontalVectorField:
     def grid(self) -> BoxGrid:
         return self.components[0].grid
 
-    def pointwise_norm(self) -> ScalarField:
-        """sqrt(sum_j |c_j|^2) nodewise, as a real field."""
-        acc = np.zeros(self.grid.counts, dtype=float)
-        for c in self.components:
-            acc += np.abs(c.values) ** 2
-        return ScalarField(self.grid, np.sqrt(acc))
-
 
 # -- serialization ---------------------------------------------------------
 

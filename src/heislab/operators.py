@@ -37,6 +37,7 @@ condition above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,31 +72,39 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _shifted(values: np.ndarray, axis: int, step: int) -> np.ndarray:
-    """values[..., i+step, ...] with zeros streaming in at the boundary."""
-    out = np.zeros_like(values)
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    if step == 1:
-        dst[axis] = slice(0, -1)
-        src[axis] = slice(1, None)
-    elif step == -1:
-        dst[axis] = slice(1, None)
-        src[axis] = slice(0, -1)
-    else:
-        raise ValueError("step must be +-1")
-    out[tuple(dst)] = values[tuple(src)]
+def first_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Central first difference (u[i+1] - u[i-1]) / (2 h), O(h^2), zero ghost values.
+
+    One fresh array: a slice difference over the flat C-order array at the
+    axis stride (contiguous on every axis), then the axis ends, which it got
+    wrong, as u[1] - 0.0 and 0.0 - u[-2].
+    """
+    v = np.ascontiguousarray(values)
+    out, s = np.empty_like(v), v.strides[axis] // v.itemsize
+    np.subtract(v.ravel()[2 * s:], v.ravel()[:-2 * s], out=out.ravel()[s:-s])
+    v, o = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(v[1], 0.0, out=o[0])
+    np.subtract(0.0, v[-2], out=o[-1])
+    out /= 2.0 * h
     return out
 
 
-def first_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Central first difference, O(h^2)."""
-    return (_shifted(values, axis, 1) - _shifted(values, axis, -1)) / (2.0 * h)
-
-
 def second_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Direct central second difference, O(h^2)."""
-    return (_shifted(values, axis, 1) - 2.0 * values + _shifted(values, axis, -1)) / (h * h)
+    """Direct central second difference ((u[i+1] - 2 u[i]) + u[i-1]) / h^2, O(h^2), zero ghosts.
+
+    One fresh array, holding 2 u first; the ends are (u[1] - 2 u[0]) + 0.0 and
+    (0.0 - 2 u[-1]) + u[-2].
+    """
+    out = np.multiply(values, 2.0)
+    v, o = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(v[2:], o[1:-1], out=o[1:-1])
+    o[1:-1] += v[:-2]
+    np.subtract(v[1], o[0], out=o[0])
+    o[0] += 0.0
+    np.subtract(0.0, o[-1], out=o[-1])
+    o[-1] += v[-2]
+    out /= h * h
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -158,53 +167,61 @@ H3 = FieldConvention("h3")
 # ---------------------------------------------------------------------------
 
 
-def _poly_first_order(u: PolyField, deriv_axis: int, coeff_axis: int | None, coeff: float) -> PolyField:
-    out = u.diff(deriv_axis)
-    if coeff_axis is not None:
-        t_ax = u.nvars - 1
-        out = out + coeff * PolyField.variable(coeff_axis, u.nvars) * u.diff(t_ax)
-    return out
+@lru_cache(maxsize=64)
+def _coeff_mesh(grid: BoxGrid, axis: int, coeff: float) -> np.ndarray:
+    """coeff * grid.axis_mesh(axis), built once per (grid, axis, coefficient)."""
+    mesh = coeff * grid.axis_mesh(axis)
+    mesh.setflags(write=False)
+    return mesh
+
+
+def _n_of(u, conv: FieldConvention) -> int:
+    return conv.n_of(u.nvars if isinstance(u, PolyField) else u.ndim)
+
+
+def _vals(f):
+    """A PolyField itself, or a grid field's values."""
+    return f if isinstance(f, PolyField) else f.values
+
+
+def _like(u, vals):
+    """vals as the same kind of field as u."""
+    return vals if isinstance(u, PolyField) else u._new(vals)
+
+
+def _t_diff(u, conv: FieldConvention):
+    if isinstance(u, PolyField):
+        return u.diff(u.nvars - 1)
+    tax = conv.t_axis(u.ndim)
+    return first_diff(u.values, tax, u.grid.spacing[tax])
+
+
+def _first_order(u, axis: int, coeff_axis: int, coeff: float, conv: FieldConvention, dt=None):
+    """D_axis u + coeff * coord_{coeff_axis} * D_t u; ``dt`` is D_t u if already in hand."""
+    if isinstance(u, PolyField):
+        return u.diff(axis) + coeff * PolyField.variable(coeff_axis, u.nvars) * _t_diff(u, conv)
+    dt = _t_diff(u, conv) if dt is None else dt
+    vals = first_diff(u.values, axis, u.grid.spacing[axis])
+    vals += _coeff_mesh(u.grid, coeff_axis, coeff) * dt
+    return u._new(vals)
 
 
 def apply_X(j: int, u, conv: FieldConvention = HN):
     """Apply the horizontal field X_j (zero-based j)."""
-    if isinstance(u, PolyField):
-        n = conv.n_of(u.nvars)
-        a, b, sx, _ = conv.pair(j, n)
-        return _poly_first_order(u, a, b, 2.0 * sx)
-    n = conv.n_of(u.ndim)
-    a, b, sx, _ = conv.pair(j, n)
-    g = u.grid
-    tax = conv.t_axis(g.ndim)
-    vals = first_diff(u.values, a, g.spacing[a])
-    vals = vals + (2.0 * sx) * g.axis_mesh(b) * first_diff(u.values, tax, g.spacing[tax])
-    return u._new(vals)
+    a, b, sx, _ = conv.pair(j, _n_of(u, conv))
+    return _first_order(u, a, b, 2.0 * sx, conv)
 
 
 def apply_Y(j: int, u, conv: FieldConvention = HN):
     """Apply the horizontal field Y_j (zero-based j)."""
-    if isinstance(u, PolyField):
-        n = conv.n_of(u.nvars)
-        a, b, _, sy = conv.pair(j, n)
-        return _poly_first_order(u, b, a, 2.0 * sy)
-    n = conv.n_of(u.ndim)
-    a, b, _, sy = conv.pair(j, n)
-    g = u.grid
-    tax = conv.t_axis(g.ndim)
-    vals = first_diff(u.values, b, g.spacing[b])
-    vals = vals + (2.0 * sy) * g.axis_mesh(a) * first_diff(u.values, tax, g.spacing[tax])
-    return u._new(vals)
+    a, b, _, sy = conv.pair(j, _n_of(u, conv))
+    return _first_order(u, b, a, 2.0 * sy, conv)
 
 
 def apply_T(u, conv: FieldConvention = HN):
     """Apply the central field T = 4 d/dt."""
-    if isinstance(u, PolyField):
-        conv.n_of(u.nvars)
-        return conv.t_scale * u.diff(u.nvars - 1)
-    conv.n_of(u.ndim)
-    g = u.grid
-    tax = conv.t_axis(g.ndim)
-    return u._new(conv.t_scale * first_diff(u.values, tax, g.spacing[tax]))
+    _n_of(u, conv)
+    return _like(u, conv.t_scale * _t_diff(u, conv))
 
 
 def commutator_check(j: int, k: int, u, conv: FieldConvention = HN) -> float:
@@ -214,15 +231,10 @@ def commutator_check(j: int, k: int, u, conv: FieldConvention = HN) -> float:
     """
     xu = apply_X(j, apply_Y(k, u, conv), conv)
     yu = apply_Y(k, apply_X(j, u, conv), conv)
-    if isinstance(u, PolyField):
-        dev = xu - yu
-        if j == k:
-            dev = dev - conv.commutator_sign * apply_T(u, conv)
-        return dev.max_abs_on_lattice()
-    dev = xu.values - yu.values
+    dev = _vals(xu) - _vals(yu)
     if j == k:
-        dev = dev - conv.commutator_sign * apply_T(u, conv).values
-    return float(np.max(np.abs(dev)))
+        dev = dev - conv.commutator_sign * _vals(apply_T(u, conv))
+    return dev.max_abs_on_lattice() if isinstance(u, PolyField) else float(np.max(np.abs(dev)))
 
 
 # ---------------------------------------------------------------------------
@@ -232,37 +244,29 @@ def commutator_check(j: int, k: int, u, conv: FieldConvention = HN) -> float:
 
 def horizontal_gradient(u, conv: FieldConvention = HN):
     """D_H u = (X_1 u, ..., X_n u, Y_1 u, ..., Y_n u)."""
-    if isinstance(u, PolyField):
-        n = conv.n_of(u.nvars)
-        return tuple(apply_X(j, u, conv) for j in range(n)) + tuple(
-            apply_Y(j, u, conv) for j in range(n)
-        )
-    n = conv.n_of(u.ndim)
-    comps = [apply_X(j, u, conv) for j in range(n)] + [apply_Y(j, u, conv) for j in range(n)]
-    return HorizontalVectorField(tuple(comps))
+    n = _n_of(u, conv)
+    pairs = [conv.pair(j, n) for j in range(n)]
+    dt = None if isinstance(u, PolyField) else _t_diff(u, conv)
+    comps = [_first_order(u, a, b, 2.0 * sx, conv, dt) for a, b, sx, _ in pairs]
+    comps += [_first_order(u, b, a, 2.0 * sy, conv, dt) for a, b, _, sy in pairs]
+    return tuple(comps) if isinstance(u, PolyField) else HorizontalVectorField(tuple(comps))
 
 
 def horizontal_divergence(F, conv: FieldConvention = HN):
     """div_H F = sum_j (X_j F_j + Y_j F_{n+j}) for a 2n-component field."""
-    if isinstance(F, (tuple, list)) and F and isinstance(F[0], PolyField):
-        n = len(F) // 2
-        if len(F) != 2 * n or n == 0:
-            raise DimensionMismatchError("horizontal fields need an even, positive component count")
-        out = apply_X(0, F[0], conv)
-        for j in range(1, n):
-            out = out + apply_X(j, F[j], conv)
-        for j in range(n):
-            out = out + apply_Y(j, F[n + j], conv)
-        return out
-    if not isinstance(F, HorizontalVectorField):
+    poly = isinstance(F, (tuple, list)) and F and isinstance(F[0], PolyField)
+    if not poly and not isinstance(F, HorizontalVectorField):
         raise DimensionMismatchError("expected a HorizontalVectorField or tuple of PolyField")
-    n = F.n
-    acc = apply_X(0, F.components[0], conv).values.copy()
+    comps = tuple(F) if poly else F.components
+    n = len(comps) // 2
+    if len(comps) != 2 * n or n == 0:
+        raise DimensionMismatchError("horizontal fields need an even, positive component count")
+    acc = _vals(apply_X(0, comps[0], conv))
     for j in range(1, n):
-        acc += apply_X(j, F.components[j], conv).values
+        acc += _vals(apply_X(j, comps[j], conv))
     for j in range(n):
-        acc += apply_Y(j, F.components[n + j], conv).values
-    return ScalarField(F.grid, acc)
+        acc += _vals(apply_Y(j, comps[n + j], conv))
+    return acc if poly else ScalarField(F.grid, acc)
 
 
 def sublaplacian(u, conv: FieldConvention = HN, sign: str = "positive"):
@@ -274,21 +278,12 @@ def sublaplacian(u, conv: FieldConvention = HN, sign: str = "positive"):
     if sign not in ("positive", "geometer"):
         raise ValueError(f"sign must be 'positive' or 'geometer', got {sign!r}")
     s = -1.0 if sign == "positive" else 1.0
-    if isinstance(u, PolyField):
-        n = conv.n_of(u.nvars)
-        out = None
-        for j in range(n):
-            xx = apply_X(j, apply_X(j, u, conv), conv)
-            yy = apply_Y(j, apply_Y(j, u, conv), conv)
-            out = xx + yy if out is None else out + xx + yy
-        return s * out
-    n = conv.n_of(u.ndim)
     acc = None
-    for j in range(n):
-        xx = apply_X(j, apply_X(j, u, conv), conv).values
-        yy = apply_Y(j, apply_Y(j, u, conv), conv).values
+    for j in range(_n_of(u, conv)):
+        xx = _vals(apply_X(j, apply_X(j, u, conv), conv))
+        yy = _vals(apply_Y(j, apply_Y(j, u, conv), conv))
         acc = xx + yy if acc is None else acc + xx + yy
-    return u._new(s * acc)
+    return _like(u, s * acc)
 
 
 def sublaplacian_expanded(u: ScalarField, conv: FieldConvention = HN, sign: str = "positive") -> ScalarField:
@@ -342,44 +337,29 @@ def _require_complex(u: ScalarField, opname: str) -> None:
         )
 
 
-def apply_Z(u, conv: FieldConvention = H3):
-    """Z = d/dz - 2 i zbar d/dtau with d/dz = d/dy_1 - i d/dy_2 (no 1/2 factor)."""
+def _h3_complex_parts(u, conv: FieldConvention, opname: str):
+    """(d/dy_1 u, d/dy_2 u, d/dtau u, y_1, y_2) for the complex fields of the h3 frame."""
     if conv.name != "h3":
         raise DimensionMismatchError("complex fields are defined on the h3 frame")
     if isinstance(u, PolyField):
         conv.n_of(u.nvars)
-        y1 = PolyField.variable(0, 3)
-        y2 = PolyField.variable(1, 3)
-        zbar = y1 - 1j * y2
-        return u.diff(0) - 1j * u.diff(1) + (-2j) * zbar * u.diff(2)
-    _require_complex(u, "apply_Z")
+        return u.diff(0), u.diff(1), u.diff(2), PolyField.variable(0, 3), PolyField.variable(1, 3)
+    _require_complex(u, opname)
     conv.n_of(u.ndim)
     g = u.grid
-    d1 = first_diff(u.values, 0, g.spacing[0])
-    d2 = first_diff(u.values, 1, g.spacing[1])
-    dt = first_diff(u.values, 2, g.spacing[2])
-    zbar = g.axis_mesh(0) - 1j * g.axis_mesh(1)
-    return u._new(d1 - 1j * d2 - 2j * zbar * dt)
+    return (*(first_diff(u.values, a, g.spacing[a]) for a in range(3)), g.axis_mesh(0), g.axis_mesh(1))
+
+
+def apply_Z(u, conv: FieldConvention = H3):
+    """Z = d/dz - 2 i zbar d/dtau with d/dz = d/dy_1 - i d/dy_2 (no 1/2 factor)."""
+    d1, d2, dt, y1, y2 = _h3_complex_parts(u, conv, "apply_Z")
+    return _like(u, d1 - 1j * d2 - 2j * (y1 - 1j * y2) * dt)
 
 
 def apply_Zbar(u, conv: FieldConvention = H3):
     """Zbar = d/dzbar + 2 i z d/dtau with d/dzbar = d/dy_1 + i d/dy_2."""
-    if conv.name != "h3":
-        raise DimensionMismatchError("complex fields are defined on the h3 frame")
-    if isinstance(u, PolyField):
-        conv.n_of(u.nvars)
-        y1 = PolyField.variable(0, 3)
-        y2 = PolyField.variable(1, 3)
-        z = y1 + 1j * y2
-        return u.diff(0) + 1j * u.diff(1) + 2j * z * u.diff(2)
-    _require_complex(u, "apply_Zbar")
-    conv.n_of(u.ndim)
-    g = u.grid
-    d1 = first_diff(u.values, 0, g.spacing[0])
-    d2 = first_diff(u.values, 1, g.spacing[1])
-    dt = first_diff(u.values, 2, g.spacing[2])
-    z = g.axis_mesh(0) + 1j * g.axis_mesh(1)
-    return u._new(d1 + 1j * d2 + 2j * z * dt)
+    d1, d2, dt, y1, y2 = _h3_complex_parts(u, conv, "apply_Zbar")
+    return _like(u, d1 + 1j * d2 + 2j * (y1 + 1j * y2) * dt)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +410,7 @@ def p_sublaplacian(
     """
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
-    if eps_reg is None:
-        eps_reg = 0.0 if p >= 2 else 1e-12
-    if eps_reg < 0:
+    if eps_reg is not None and eps_reg < 0:
         raise ValueError("eps_reg must be nonnegative")
     if isinstance(u, PolyField):
         if p != 4:
@@ -440,15 +418,24 @@ def p_sublaplacian(
                 "polynomial mode supports the p = 4 case only (integer weight power)"
             )
         grad = horizontal_gradient(u, conv)
-        n = len(grad) // 2
-        w = None
-        for comp in grad:
-            sq = comp * comp
-            w = sq if w is None else w + sq
+        w = grad[0] * grad[0]
+        for comp in grad[1:]:
+            w = w + comp * comp
         weighted = tuple(w * c for c in grad)
         return horizontal_divergence(weighted, conv)
-    grad = horizontal_gradient(u, conv)
-    norm2 = np.zeros(u.grid.counts, dtype=float)
+    return _p_flux_divergence(horizontal_gradient(u, conv), p, conv, eps_reg)
+
+
+def _p_flux_divergence(grad: HorizontalVectorField, p: float, conv: FieldConvention, eps_reg=None):
+    """div_H(|G|^{p-2} G) for G = D_H u on the grid: Delta_{H,p} u from a gradient in hand.
+
+    At p = 2 the weight (|G|^2 + eps_reg)^0 is 1.0 exactly and is skipped.
+    """
+    if p == 2:
+        return horizontal_divergence(grad, conv)
+    if eps_reg is None:
+        eps_reg = 0.0 if p >= 2 else 1e-12
+    norm2 = np.zeros(grad.grid.counts, dtype=float)
     for c in grad.components:
         norm2 += np.abs(c.values) ** 2
     if p < 2 and eps_reg == 0.0:
@@ -457,7 +444,7 @@ def p_sublaplacian(
             raise SingularGradientError([tuple(int(i) for i in row) for row in sing])
     weight = (norm2 + eps_reg) ** ((p - 2.0) / 2.0)
     weighted = HorizontalVectorField(
-        tuple(ScalarField(u.grid, weight * c.values) for c in grad.components)
+        tuple(ScalarField(grad.grid, weight * c.values) for c in grad.components)
     )
     return horizontal_divergence(weighted, conv)
 

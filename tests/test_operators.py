@@ -39,6 +39,8 @@ from heislab import (
     twisted_laplacian,
 )
 from heislab.exceptions import DimensionMismatchError
+from heislab.grid import HorizontalVectorField
+from heislab.operators import first_diff, second_diff
 
 
 def _monomials(nvars, max_degree):
@@ -266,6 +268,143 @@ def test_twisted_laplacian_requires_complex_2d():
         twisted_laplacian(
             ScalarField(grid2, np.ones(grid2.counts, dtype=np.complex128)), 0.0
         )
+
+
+# ---------------------------------------------------------------------------
+# bitwise reference: the stencils as compositions of zero-filled shifted copies
+# ---------------------------------------------------------------------------
+
+
+def _ref_shifted(values, axis, step):
+    """values[..., i+step, ...] with zeros streaming in at the boundary."""
+    out = np.zeros_like(values)
+    src = [slice(None)] * values.ndim
+    dst = [slice(None)] * values.ndim
+    if step == 1:
+        dst[axis], src[axis] = slice(0, -1), slice(1, None)
+    else:
+        dst[axis], src[axis] = slice(1, None), slice(0, -1)
+    out[tuple(dst)] = values[tuple(src)]
+    return out
+
+
+def _ref_d1(values, axis, h):
+    return (_ref_shifted(values, axis, 1) - _ref_shifted(values, axis, -1)) / (2.0 * h)
+
+
+def _ref_d2(values, axis, h):
+    return (_ref_shifted(values, axis, 1) - 2.0 * values + _ref_shifted(values, axis, -1)) / (h * h)
+
+
+def _ref_field(j, values, grid, conv, which):
+    a, b, sx, sy = conv.pair(j, conv.n_of(grid.ndim))
+    if which == "Y":
+        a, b, sx = b, a, sy
+    tax = conv.t_axis(grid.ndim)
+    h = grid.spacing
+    return _ref_d1(values, a, h[a]) + (2.0 * sx) * grid.axis_mesh(b) * _ref_d1(values, tax, h[tax])
+
+
+def _ref_gradient(values, grid, conv):
+    n = conv.n_of(grid.ndim)
+    return [_ref_field(j, values, grid, conv, w) for w in "XY" for j in range(n)]
+
+
+def _ref_divergence(comps, grid, conv):
+    n = len(comps) // 2
+    acc = _ref_field(0, comps[0], grid, conv, "X").copy()
+    for j in range(1, n):
+        acc += _ref_field(j, comps[j], grid, conv, "X")
+    for j in range(n):
+        acc += _ref_field(j, comps[n + j], grid, conv, "Y")
+    return acc
+
+
+def _ref_p_sublaplacian(values, grid, conv, p):
+    grad = _ref_gradient(values, grid, conv)
+    norm2 = np.zeros(grid.counts, dtype=float)
+    for c in grad:
+        norm2 += np.abs(c) ** 2
+    weight = (norm2 + 0.0) ** ((p - 2.0) / 2.0)
+    return _ref_divergence([weight * c for c in grad], grid, conv)
+
+
+def _ref_sublaplacian(values, grid, conv):
+    acc = None
+    for j in range(conv.n_of(grid.ndim)):
+        xx = _ref_field(j, _ref_field(j, values, grid, conv, "X"), grid, conv, "X")
+        yy = _ref_field(j, _ref_field(j, values, grid, conv, "Y"), grid, conv, "Y")
+        acc = xx + yy if acc is None else acc + xx + yy
+    return -1.0 * acc
+
+
+def _ref_z(values, grid, sign):
+    d1, d2, dt = (_ref_d1(values, a, grid.spacing[a]) for a in range(3))
+    if sign < 0:
+        zbar = grid.axis_mesh(0) - 1j * grid.axis_mesh(1)
+        return d1 - 1j * d2 - 2j * zbar * dt
+    z = grid.axis_mesh(0) + 1j * grid.axis_mesh(1)
+    return d1 + 1j * d2 + 2j * z * dt
+
+
+def _ref_twisted(values, grid, tau, angular_sign):
+    y1, y2 = grid.axis_mesh(0), grid.axis_mesh(1)
+    h = grid.spacing
+    lap = _ref_d2(values, 0, h[0]) + _ref_d2(values, 1, h[1])
+    pot = 4.0 * tau * tau * (y1 * y1 + y2 * y2) * values
+    ang = 4j * tau * angular_sign * (y1 * _ref_d1(values, 1, h[1]) - y2 * _ref_d1(values, 0, h[0]))
+    return -lap + pot + ang
+
+
+def _random_values(rng, counts, complex_):
+    vals = rng.standard_normal(counts)
+    return vals + 1j * rng.standard_normal(counts) if complex_ else vals
+
+
+@pytest.mark.parametrize(
+    "conv, grid",
+    [
+        (HN, BoxGrid((-1.0, -2.5, -0.7), (1.5, 2.0, 0.9), (7, 11, 13))),
+        (HN, BoxGrid((-1.0, -0.5, -2.0, -1.5, -0.8), (1.2, 1.5, 2.0, 1.0, 1.1), (5, 7, 9, 5, 11))),
+        (H3, BoxGrid((-2.0, -1.0, -0.6), (1.0, 1.3, 0.6), (9, 5, 17))),
+    ],
+    ids=["hn1", "hn2", "h3"],
+)
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_stencils_bitwise_equal_to_shifted_copy_reference(conv, grid, complex_):
+    # The slice-difference kernels keep every operand and every operation
+    # order of the shifted-copy stencils, so the results agree bit for bit.
+    rng = np.random.default_rng(41)
+    values = _random_values(rng, grid.counts, complex_)
+    u = ScalarField(grid, values)
+    for axis, h in enumerate(grid.spacing):
+        assert np.array_equal(first_diff(values, axis, h), _ref_d1(values, axis, h))
+        assert np.array_equal(second_diff(values, axis, h), _ref_d2(values, axis, h))
+    ref_grad = _ref_gradient(values, grid, conv)
+    grad = horizontal_gradient(u, conv)
+    assert len(grad.components) == len(ref_grad)
+    for c, ref in zip(grad.components, ref_grad):
+        assert np.array_equal(c.values, ref)
+    comps = [_random_values(rng, grid.counts, complex_) for _ in ref_grad]
+    F = HorizontalVectorField(tuple(ScalarField(grid, c) for c in comps))
+    assert np.array_equal(horizontal_divergence(F, conv).values, _ref_divergence(comps, grid, conv))
+    for p in (2.0, 3.0):
+        got = p_sublaplacian(u, p, conv=conv).values
+        assert np.array_equal(got, _ref_p_sublaplacian(values, grid, conv, p))
+    assert np.array_equal(sublaplacian(u, conv).values, _ref_sublaplacian(values, grid, conv))
+    if conv is H3 and complex_:
+        assert np.array_equal(apply_Z(u, H3).values, _ref_z(values, grid, -1))
+        assert np.array_equal(apply_Zbar(u, H3).values, _ref_z(values, grid, 1))
+
+
+def test_twisted_laplacian_bitwise_equal_to_shifted_copy_reference():
+    rng = np.random.default_rng(43)
+    grid = BoxGrid((-3.0, -2.0), (3.0, 2.5), (13, 9))
+    values = _random_values(rng, grid.counts, True)
+    u = ScalarField(grid, values)
+    for tau, angular_sign in ((1.3, 1), (-0.7, -1)):
+        got = twisted_laplacian(u, tau, angular_sign).values
+        assert np.array_equal(got, _ref_twisted(values, grid, tau, angular_sign))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from heislab import (
     validate_exponents,
     zero_boundary,
 )
-from heislab import variational
+from heislab import operators, variational
 from heislab.variational import _path_descent, _RayProfile
 
 
@@ -303,6 +303,50 @@ def test_folland_stein_monotone_and_deterministic():
     d = fs.to_dict()
     assert d["history_last"] == fs.value
     assert d["monotone"] is True
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_descents_evaluate_each_horizontal_gradient_once(monkeypatch, p):
+    # `gradient` shares one D_H u between its norm and divergence terms; the
+    # Folland-Stein descent evaluates D_H once for the start field and once per
+    # line-search trial, reusing an accepted trial's D_H u for its next step.
+    seen = []
+
+    def counting(u, *args, **kwargs):
+        seen.append(u.values.copy())
+        return horizontal_gradient(u, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "horizontal_gradient", counting)
+    monkeypatch.setattr(variational, "horizontal_gradient", counting)
+    prob = desk_problem()
+    gradient(random_dirichlet_field(prob.grid, seed=3, bumps=2), prob)
+    assert len(seen) == 1
+
+    seen.clear()
+    grid = BoxGrid((-4.0,) * 3, (4.0,) * 3, (9,) * 3)
+    fs = folland_stein_constant(grid, p, iters=15, seed=2)
+    monkeypatch.undo()
+    assert fs.iterations == 15 and not fs.stagnated
+    # no field is evaluated twice
+    assert len({v.tobytes() for v in seen}) == len(seen)
+    # replaying the acceptance rule on the evaluated fields gives the history:
+    # the first is the start field and every later one is a trial
+    w = grid.cell_volume
+
+    def quotient(vals):
+        grad = horizontal_gradient(ScalarField(grid, vals))
+        norm2 = sum(c.values * c.values for c in grad.components)
+        return float(np.sum(norm2 ** (p / 2.0)) * w) / float(
+            np.sum(np.abs(vals) ** fs.p_star) * w
+        ) ** (p / fs.p_star)
+
+    history = [quotient(seen[0])]
+    for vals in seen[1:]:
+        tq = quotient(vals)
+        if tq < history[-1] - 1e-12 * (1.0 + abs(history[-1])):
+            history.append(tq)
+    assert len(seen) >= 1 + fs.iterations
+    assert history == pytest.approx(fs.history, rel=1e-12)
 
 
 def test_folland_stein_exponent_window():

@@ -64,7 +64,6 @@ from .spectral import (
     ConventionChoice,
     GramResult,
     LadderFit,
-    SpectralReport,
     WeylProbeResult,
     assemble_twisted,
     cluster_eigenvalues,

@@ -14,9 +14,11 @@ What lives here:
   polynomial dependence on tau and the exact match with the 3-d
   sub-Laplacian stencil are what matter;
 * a lowest-eigenvalue driver that returns the m smallest eigenvalues
-  counting multiplicity: dense below a size cutoff, dense per real
-  rotation sector for the symmetric twisted operator, shift-invert Lanczos
-  otherwise, with every non-dense result certified by Sylvester inertia;
+  counting multiplicity: dense below a size cutoff; above it per real
+  rotation sector for the symmetric twisted operator, each sector dense for
+  many pairs and by shift-invert block iteration for few; by the block
+  iteration on the whole operator otherwise.  Every result above the cutoff
+  is certified by Sylvester inertia;
 * Landau-ladder structure detection: eigenvalue clustering, population
   filtering (Dirichlet edge states sprinkle small clusters into the spectral
   gaps), and the least-squares ladder constant ``kappa0`` in
@@ -45,7 +47,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -65,7 +67,6 @@ __all__ = [
     "ConventionChoice",
     "GramResult",
     "LadderFit",
-    "SpectralReport",
     "WeylProbeResult",
     "assemble_twisted",
     "lowest_eigenvalues",
@@ -178,33 +179,6 @@ class WeylProbeResult:
             "tau0s": list(self.tau0s),
             "eigen_estimates": list(self.eigen_estimates),
             "strictly_decreasing": self.strictly_decreasing,
-        }
-
-
-@dataclass
-class SpectralReport:
-    """One spectral campaign: eigenvalues, ladder fit, residuals, conventions."""
-
-    tau: float
-    grid: dict
-    eigenvalues: list[float] = field(default_factory=list)
-    ladder: LadderFit | None = None
-    residuals: dict[str, float] = field(default_factory=dict)
-    convention: ConventionChoice | None = None
-    runtimes: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.eigenvalues = sorted(float(e) for e in self.eigenvalues)
-
-    def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "grid": self.grid,
-            "eigenvalues": list(self.eigenvalues),
-            "ladder": self.ladder.to_dict() if self.ladder else None,
-            "residuals": dict(self.residuals),
-            "convention": self.convention.to_dict() if self.convention else None,
-            "runtimes": dict(self.runtimes),
         }
 
 
@@ -369,32 +343,12 @@ def _rotation_sectors(A: sp.csr_matrix) -> list[sp.csr_matrix] | None:
     return bases
 
 
-def _sector_solve(
-    A: sp.csr_matrix, bases: list[sp.csr_matrix], m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """m smallest eigenpairs of A from dense solves of its real sector blocks."""
-    parts = []
-    for U in bases:
-        block = (U.conj().T @ (A @ U)).real.toarray()
-        k = min(m, block.shape[0])
-        parts.append(scipy.linalg.eigh(block, subset_by_index=[0, k - 1]))
-    vals = np.concatenate([w for w, _ in parts])
-    sector = np.concatenate([np.full(w.size, q) for q, (w, _) in enumerate(parts)])
-    local = np.concatenate([np.arange(w.size) for w, _ in parts])
-    order = np.argsort(vals, kind="stable")[:m]
-    vecs = np.empty((A.shape[0], m), dtype=np.complex128)
-    for q, (U, (_, y)) in enumerate(zip(bases, parts)):
-        take = sector[order] == q
-        vecs[:, take] = U @ y[:, local[order[take]]]
-    return vals[order], vecs
+def _shifted_lu(A: sp.spmatrix, shift: float):
+    """Symmetric-mode sparse LU of ``A - shift I`` and its negative inertia.
 
-
-def _count_below(A: sp.csr_matrix, shift: float) -> int:
-    """Number of eigenvalues of Hermitian A below shift (Sylvester inertia).
-
-    A symmetric-mode sparse LU of ``A - shift I`` with diagonal pivots only
-    is ``P^T L D L^H P``; the negative entries of D count the eigenvalues
-    below the shift.
+    With diagonal pivots only the factorization is ``P^T L D L^H P``; for
+    Hermitian A the negative entries of D count the eigenvalues below the
+    shift (Sylvester).  The factor also solves ``(A - shift I) x = b``.
     """
     eye = sp.identity(A.shape[0], dtype=A.dtype, format="csc")
     lu = spla.splu(
@@ -408,7 +362,134 @@ def _count_below(A: sp.csr_matrix, shift: float) -> int:
             f"inertia factorization at shift {shift:.10g} pivoted off the "
             "diagonal; the eigenvalue count is not certified"
         )
-    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+    return lu, int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+
+def _count_below(A: sp.spmatrix, shift: float) -> int:
+    """Number of eigenvalues of Hermitian A below shift (Sylvester inertia)."""
+    return _shifted_lu(A, shift)[1]
+
+
+def _gershgorin_floor(A: sp.spmatrix) -> float:
+    """A lower bound on every eigenvalue of Hermitian A (Gershgorin discs)."""
+    diag = A.diagonal()
+    radius = np.asarray(abs(A).sum(axis=1)).ravel() - np.abs(diag)
+    return float(np.min(diag.real - radius))
+
+
+# A rotation sector of dimension n_q is solved by the shift-invert block
+# iteration when BLOCK_RATIO * m <= n_q and by a dense eigh otherwise.  At
+# 129^2 (n_q = 4160, tau = 1) the block iteration wins at m = 130 and loses
+# at m = 260, where the wanted values span two Landau levels.
+BLOCK_RATIO = 32
+_RATE = 0.3
+_BAND = 0.01
+_MAX_ITER = 100
+
+
+def _ritz_step(B: sp.spmatrix, lu, X: np.ndarray):
+    """One shift-invert step: solve, orthonormalize, Rayleigh-Ritz on the block."""
+    Q = np.linalg.qr(lu.solve(X))[0]
+    BQ = B @ Q
+    theta, S = np.linalg.eigh(Q.conj().T @ BQ)
+    X = Q @ S
+    res = np.linalg.norm(BQ @ S - X * theta, axis=0)
+    return X, theta, res
+
+
+def _shift_invert_pairs(blocks, m: int, floor: float, residual_bound: float, seed: int):
+    """Lowest eigenpairs of Hermitian blocks, enough for their merged m smallest.
+
+    Block subspace iteration with Rayleigh-Ritz on ``(B - shift I)^{-1}`` per
+    block, from ``ceil(m / len(blocks))`` seeded random columns per block.
+    Every shift starts at ``floor``, a lower bound on every eigenvalue.
+    After each iteration a block's shift moves up to its lowest Ritz value
+    minus that pair's residual (an eigenvalue lies within the residual, and
+    the shift stays at least ``residual_bound`` below it) when that cuts the
+    distance to the Ritz value by 4 or more; a new shift is kept only if its
+    factor's inertia shows no eigenvalue below it.  Each block is then
+    resized, by at most a doubling, to its inertia count below
+    ``max(shift + (cut - shift) / _RATE, cut + _BAND |cut|)``, where cut is
+    the merged m-th Ritz value (an upper bound on lambda_m).  Every
+    eigenvalue outside the block is then that far above the cut: each wanted
+    pair converges at least by ``_RATE`` per iteration, and a band narrower
+    than ``_BAND`` of the cut that the cut splits lies wholly inside, which
+    keeps the Ritz values accurate to the square of the residuals.  The
+    iteration stops when every one of the merged m lowest pairs meets
+    ``residual_bound``.
+    """
+    rng = np.random.default_rng(seed)
+
+    def start(B, p):
+        X = rng.standard_normal((B.shape[0], p))
+        return X + 1j * rng.standard_normal(X.shape) if B.dtype.kind == "c" else X
+
+    shifts = [floor] * len(blocks)
+    lus = [_shifted_lu(B, floor)[0] for B in blocks]
+    X = [start(B, min(B.shape[0], -(-m // len(blocks)))) for B in blocks]
+    theta = [np.empty(0)] * len(blocks)
+    res = [np.empty(0)] * len(blocks)
+    for _ in range(_MAX_ITER):
+        for b, B in enumerate(blocks):
+            if X[b].shape[1]:
+                X[b], theta[b], res[b] = _ritz_step(B, lus[b], X[b])
+        vals, resid = np.concatenate(theta), np.concatenate(res)
+        owner = np.repeat(np.arange(len(blocks)), [t.size for t in theta])
+        order = np.argsort(vals, kind="stable")[:m]
+        worst = order[np.argmax(resid[order])]
+        if resid[worst] <= residual_bound:
+            return list(zip(theta, X))
+        cut = vals[order[-1]]
+        for b, B in enumerate(blocks):
+            p = X[b].shape[1]
+            if not p:
+                continue
+            low = theta[b][0]
+            step = max(res[b][0], residual_bound)
+            while 4.0 * step <= low - shifts[b]:
+                lu, below = _shifted_lu(B, low - step)
+                if below == 0:
+                    shifts[b], lus[b] = low - step, lu
+                    break
+                step *= 4.0
+            size = 0
+            if shifts[b] < cut:
+                edge = max(shifts[b] + (cut - shifts[b]) / _RATE, cut + _BAND * abs(cut))
+                size = min(B.shape[0], 2 * p, _count_below(B, edge))
+            keep = min(size, p)
+            X[b] = np.hstack([X[b][:, :keep], start(B, size - keep)])
+            theta[b], res[b] = theta[b][:keep], res[b][:keep]
+    where = f"sector {owner[worst]}" if len(blocks) > 1 else "the operator"
+    raise EigensolverError(
+        f"shift-invert iteration in {where} did not converge in {_MAX_ITER} "
+        f"iterations: worst residual {resid[worst]:.3e} exceeds {residual_bound:.1e}"
+    )
+
+
+def _lowest_pairs(A: sp.csr_matrix, m: int, residual_bound: float, seed: int):
+    """m smallest eigenpairs of A, per real rotation sector where A has them."""
+    bases = _rotation_sectors(A)
+    if bases is None:
+        vals, vecs = _shift_invert_pairs([A], m, _gershgorin_floor(A), residual_bound, seed)[0]
+        return vals[:m], vecs[:, :m]
+    if BLOCK_RATIO * m <= min(U.shape[1] for U in bases):
+        blocks = [(U.conj().T @ (A @ U)).real for U in bases]
+        parts = _shift_invert_pairs(blocks, m, _gershgorin_floor(A), residual_bound, seed)
+    else:
+        parts = []
+        for U in bases:
+            block = (U.conj().T @ (A @ U)).real.toarray()
+            k = min(m, block.shape[0])
+            parts.append(scipy.linalg.eigh(block, subset_by_index=[0, k - 1]))
+    vals = np.concatenate([w for w, _ in parts])
+    owner = np.concatenate([np.full(w.size, b) for b, (w, _) in enumerate(parts)])
+    local = np.concatenate([np.arange(w.size) for w, _ in parts])
+    order = np.argsort(vals, kind="stable")[:m]
+    vecs = np.empty((A.shape[0], m), dtype=np.complex128)
+    for b, (U, (_, y)) in enumerate(zip(bases, parts)):
+        take = owner[order] == b
+        vecs[:, take] = U @ y[:, local[order[take]]]
+    return vals[order], vecs
 
 
 def lowest_eigenvalues(
@@ -416,7 +497,6 @@ def lowest_eigenvalues(
     m: int,
     seed: int = 0,
     dense_cutoff: int = 3000,
-    sigma: float | None = 0.0,
     residual_bound: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray]:
     """m smallest eigenvalues (ascending) and eigenvectors of a Hermitian operator.
@@ -426,12 +506,15 @@ def lowest_eigenvalues(
 
     Paths: a dense solve at dimension ``<= dense_cutoff`` (also the oracle
     path).  Above it, an operator on an n x n grid that has the exact
-    rotation and flip symmetries of ``_rotation_sectors`` is solved densely
-    per real rotation sector, and the sectors are merged.  Any other
-    operator goes to shift-invert Lanczos about ``sigma`` (smallest
-    algebraic when ``sigma`` is None) with a seeded start vector; its
-    tolerance is derived from ``residual_bound`` so that every converged
-    pair meets it.
+    rotation and flip symmetries of ``_rotation_sectors`` is split into its
+    four real rotation sectors, each reduced by a dense ``eigh`` when
+    ``BLOCK_RATIO * m`` exceeds the sector dimension.  Otherwise the
+    sectors, and any operator without the symmetry as one block, go to a
+    shift-invert block iteration (``_shift_invert_pairs``): sparse LU solves
+    about a shift certified by inertia to lie below the block's spectrum,
+    with a block sized by inertia so that every wanted pair converges, and
+    a start block drawn from ``seed``.  The iteration stops when every pair
+    of the merged m lowest meets ``residual_bound``.
 
     Every returned pair is residual-checked:
     ||A v - lambda v|| / ||v|| <= residual_bound.  Every result above the
@@ -440,8 +523,8 @@ def lowest_eigenvalues(
     number of returned values below it.
 
     Raises ``ValueError`` unless 0 < m < dim, and ``EigensolverError`` when
-    Lanczos converges fewer than m pairs, a pair misses the residual bound,
-    or the inertia certificate fails.
+    the block iteration does not converge, a pair misses the residual
+    bound, or the inertia certificate fails.
     """
     A = op if sp.issparse(op) else sp.csr_matrix(op)
     dim = A.shape[0]
@@ -451,27 +534,8 @@ def lowest_eigenvalues(
         dense = A.toarray()
         vals, vecs = scipy.linalg.eigh(dense)
         vals, vecs = vals[:m], vecs[:, :m]
-    elif (bases := _rotation_sectors(A.tocsr())) is not None:
-        vals, vecs = _sector_solve(A, bases, m)
     else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(dim)
-        if A.dtype.kind == "c":
-            v0 = v0 + 1j * rng.standard_normal(dim)
-        # shift-invert converges to ||A v - lam v|| <= ||A - sigma I|| * tol
-        shifted = A - (sigma or 0.0) * sp.identity(dim, format="csr")
-        tol = residual_bound / spla.norm(shifted, np.inf)
-        try:
-            vals, vecs = spla.eigsh(
-                A, k=m, sigma=sigma, which="SA" if sigma is None else "LM",
-                tol=tol, v0=v0, ncv=min(dim - 1, 2 * m + 1),
-            )
-        except spla.ArpackNoConvergence as exc:
-            raise EigensolverError(
-                f"eigensolver converged {len(exc.eigenvalues)}/{m} pairs"
-            ) from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+        vals, vecs = _lowest_pairs(A.tocsr(), m, residual_bound, seed)
     vals = np.real(vals)
     res = np.linalg.norm(A @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
     bad = np.flatnonzero(res > residual_bound)

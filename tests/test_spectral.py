@@ -12,7 +12,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from heislab import (
     BoxGrid,
@@ -30,14 +29,13 @@ from heislab import (
     vertical_bridge_sign,
     weyl_probe,
 )
-from heislab import spectral
+from heislab import cli, spectral
 from heislab.exceptions import (
     EigensolverError,
     NoConventionFoundError,
     StructureMismatchError,
 )
 from heislab.spectral import (
-    SpectralReport,
     WeylProbeResult,
     _count_below,
     _rotation_sectors,
@@ -186,31 +184,100 @@ def test_rotation_sectors_need_the_symmetry():
     assert [U.shape[1] for U in bases] == [273, 272, 272, 272]
 
 
-def test_lanczos_result_missing_a_copy_fails_certificate(monkeypatch):
+def test_block_result_missing_a_copy_fails_certificate(monkeypatch):
     N, h = 1200, 1.0 / 1201.0
     A = _dirichlet_1d(N, h)
     vals, vecs = lowest_eigenvalues(A, 6, dense_cutoff=2000)
     keep = [0, 1, 2, 3, 5]  # exact pairs, but the fifth eigenvalue is skipped
 
-    def fake_eigsh(*args, **kwargs):
-        return vals[keep], vecs[:, keep]
+    def fake_pairs(*args, **kwargs):
+        return [(vals[keep], vecs[:, keep])]
 
-    monkeypatch.setattr(spectral.spla, "eigsh", fake_eigsh)
+    monkeypatch.setattr(spectral, "_shift_invert_pairs", fake_pairs)
     with pytest.raises(EigensolverError, match="5 eigenvalues below .* returned 4"):
         lowest_eigenvalues(A, 5, dense_cutoff=10)
 
 
-def test_lanczos_non_convergence_raises(monkeypatch):
-    N, h = 1200, 1.0 / 1201.0
-    A = _dirichlet_1d(N, h)
-    vals, vecs = lowest_eigenvalues(A, 2, dense_cutoff=2000)
+def test_block_iteration_non_convergence_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_ITER", 1)
+    with pytest.raises(
+        EigensolverError,
+        match=r"in the operator did not converge in 1 iterations: worst residual .* exceeds 1\.0e-08",
+    ):
+        lowest_eigenvalues(_dirichlet_1d(1200, 1.0 / 1201.0), 5, dense_cutoff=10)
+    grid = BoxGrid((-8.0, -8.0), (8.0, 8.0), (65, 65))
+    with pytest.raises(EigensolverError, match=r"in sector [0-3] did not converge in 1 "):
+        lowest_eigenvalues(assemble_twisted(1.0, grid), 30)
 
-    def fake_eigsh(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", vals, vecs)
 
-    monkeypatch.setattr(spectral.spla, "eigsh", fake_eigsh)
-    with pytest.raises(EigensolverError, match="converged 2/5 pairs"):
-        lowest_eigenvalues(A, 5, dense_cutoff=10)
+def test_operator_without_symmetry_keeps_every_copy(monkeypatch):
+    # with the sector path off the whole operator is one block; the cut at
+    # m = 140 falls among near-degenerate copies (141 eigenvalues lie below
+    # 11.27), and every copy must come back
+    grid = BoxGrid((-6.0, -6.0), (6.0, 6.0), (45, 45))
+    A = assemble_twisted(1.0, grid)
+    dense_vals, _ = lowest_eigenvalues(A, 140)
+    monkeypatch.setattr(spectral, "_rotation_sectors", lambda A: None)
+    block_vals, vecs = lowest_eigenvalues(A, 140, dense_cutoff=10)
+    np.testing.assert_allclose(block_vals, dense_vals, rtol=0, atol=1e-9)
+    assert vecs.shape == (grid.node_count, 140)
+
+
+def _count_dense_eigh(monkeypatch) -> list:
+    calls = []
+    eigh = spectral.scipy.linalg.eigh
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.scipy.linalg, "eigh", spy)
+    return calls
+
+
+@pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+def test_block_path_matches_sector_dense_path(monkeypatch, tau):
+    # 65^2 on [-8, 8]^2 at m = 30 takes the block path; at tau = 2 each
+    # sector's lowest level has about 65 members, its 38th within 6e-5 of
+    # its lowest, so a fixed block of m + m/4 = 38 columns would end inside it
+    grid = BoxGrid((-8.0, -8.0), (8.0, 8.0), (65, 65))
+    A = assemble_twisted(tau, grid)
+    calls = _count_dense_eigh(monkeypatch)
+    block_vals, vecs = lowest_eigenvalues(A, 30)
+    assert calls == []
+    monkeypatch.setattr(spectral, "BLOCK_RATIO", A.shape[0])
+    dense_vals, _ = lowest_eigenvalues(A, 30)
+    assert len(calls) == 4
+    np.testing.assert_allclose(block_vals, dense_vals, rtol=0, atol=1e-12)
+    assert vecs.shape == (grid.node_count, 30)
+
+
+def test_large_m_takes_the_sector_dense_path(monkeypatch):
+    def no_block(*args, **kwargs):
+        raise AssertionError("large m must not take the block path")
+
+    monkeypatch.setattr(spectral, "_shift_invert_pairs", no_block)
+    calls = _count_dense_eigh(monkeypatch)
+    grid = BoxGrid((-6.0, -6.0), (6.0, 6.0), (33, 33))
+    vals, _ = lowest_eigenvalues(assemble_twisted(1.0, grid), 30, dense_cutoff=10)
+    assert calls == [(273, 273), (272, 272), (272, 272), (272, 272)]
+    assert vals.size == 30
+
+
+def test_spectra_campaign_block_path_reproducible_csv(tmp_path):
+    # m = 30 at 65^2 takes the block path, whose start block is seeded
+    csv_bytes = []
+    for sub in ("a", "b"):
+        cfg = cli.resolve_config(
+            "spectra",
+            {"params": {"counts": 65, "m": 30, "levels": 1, "tau": 2.0}},
+            {"out": str(tmp_path / sub), "seed": 7},
+        )
+        cli.run(cfg)
+        csv_bytes.append(
+            [(tmp_path / sub / name).read_bytes() for name in ("eigenvalues.csv", "ladder.csv")]
+        )
+    assert csv_bytes[0] == csv_bytes[1]
 
 
 def test_eigensolver_validation():
@@ -410,13 +477,6 @@ def test_weyl_result_requires_increasing_widths():
             tau0s=[1.0, 1.0], probe_lambda=4.0, mode="ladder",
             eigen_estimates=[4.0, 4.0],
         )
-
-
-def test_spectral_report_sorts_eigenvalues():
-    rep = SpectralReport(
-        tau=1.0, grid={"counts": [3, 3]}, eigenvalues=[3.0, 1.0, 2.0],
-    )
-    assert rep.eigenvalues == [1.0, 2.0, 3.0]
 
 
 def test_ladder_fit_to_dict_round_trip():

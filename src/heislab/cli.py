@@ -122,7 +122,6 @@ _DEFAULTS: dict[str, dict] = {
         "potential": 1.0,
         "half": 4.0,
         "counts": 33,
-        "nodes": 9,
         "max_iter": 20000,
         "fs_iters": 150,
         "ray_t_max": 24.0,
@@ -390,8 +389,7 @@ def _run_solve(p: dict) -> tuple[dict, dict]:
 
     e = ScalarField(problem.grid, ray["t_negative"] * v0.values)
     mp = mountain_pass_solve(
-        problem, e, nodes=int(p["nodes"]), max_iter=int(p["max_iter"]),
-        threshold=float(threshold),
+        problem, e, max_iter=int(p["max_iter"]), threshold=float(threshold)
     )
     results["mountain_pass"] = mp.to_dict()
     ps = ps_monitor(mp)

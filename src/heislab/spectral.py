@@ -851,8 +851,9 @@ def weyl_probe(
     sigma_m = width_m^2 (the squared width matches the anisotropic dilation:
     a vertical extent of gauge size m).  phi is the tabulated adjudicated
     eigenfunction refined by Rayleigh-quotient iteration on the assembled
-    fiber operator; the t-direction is integrated in closed form, so each
-    residual is exact for the z-discretized operator.
+    fiber operator, once per distinct tau_0 (so once per call in ladder
+    mode); the t-direction is integrated in closed form, so each residual is
+    exact for the z-discretized operator.
 
     lam > 0: tau_0 = lam / (kappa0 (2k+1)) puts lam on the ladder.
     lam = 0: a decreasing tau_0 sequence (halving from tau0_start) is paired
@@ -879,7 +880,8 @@ def weyl_probe(
     K, A, C = fiber_parts(grid2d)
     mu = 1.0 if conv.name == "hn" else -1.0
 
-    def one_case(tau0: float, jj: int, kk: int, lam_probe: float, sigma: float):
+    def fiber_terms(tau0: float, jj: int, kk: int, lam_probe: float):
+        """Refined phi's Rayleigh quotient and the sigma-free residual products."""
         fiber = (K + (mu * tau0) * A + (tau0 * tau0) * C).tocsr()
         start = tabulate_eigenfunction(jj, kk, tau0, grid2d).values.ravel()
         target = kappa0 * (2 * kk + 1) * tau0
@@ -892,36 +894,30 @@ def weyl_probe(
         v0 = fiber @ phi - lam_probe * phi
         v1 = (mu * (A @ phi) + (2.0 * tau0) * (C @ phi))
         v2 = C @ phi
-        s2 = 1.0 / (2.0 * sigma * sigma)
-        nphi2 = float(np.real(np.vdot(phi, phi)))
-        r2 = (
-            float(np.real(np.vdot(v0, v0)))
-            + s2 * (float(np.real(np.vdot(v1, v1))) + 2.0 * float(np.real(np.vdot(v0, v2))))
-            + 3.0 * s2 * s2 * float(np.real(np.vdot(v2, v2)))
-        ) / nphi2
-        return math.sqrt(max(r2, 0.0)), ray
+        pairs = ((v0, v0), (v1, v1), (v0, v2), (v2, v2))
+        dots = [float(np.real(np.vdot(x, y))) for x, y in pairs]
+        return ray, dots, float(np.real(np.vdot(phi, phi)))
 
-    residuals: list[float] = []
-    tau0s: list[float] = []
-    rays: list[float] = []
     if lam > 0:
-        tau0 = lam / (kappa0 * (2 * k + 1))
-        lam_probe = lam if probe_lambda is None else float(probe_lambda)
-        for sigma in sigmas:
-            r, ray = one_case(tau0, j, k, lam_probe, sigma)
-            residuals.append(r)
-            tau0s.append(tau0)
-            rays.append(ray)
-        mode = "ladder"
+        # ladder mode: one (tau_0, j, k) for every width
+        tau0s = [lam / (kappa0 * (2 * k + 1))] * len(sigmas)
+        labels, lam_probe, mode = (j, k), lam, "ladder"
     else:
-        lam_probe = 0.0 if probe_lambda is None else float(probe_lambda)
-        for i, sigma in enumerate(sigmas):
-            tau0 = tau0_start / (2.0 ** i)
-            r, ray = one_case(tau0, 0, 0, lam_probe, sigma)
-            residuals.append(r)
-            tau0s.append(tau0)
-            rays.append(ray)
-        mode = "zero"
+        tau0s = [tau0_start / (2.0 ** i) for i in range(len(sigmas))]
+        labels, lam_probe, mode = (0, 0), 0.0, "zero"
+    if probe_lambda is not None:
+        lam_probe = float(probe_lambda)
+    terms: dict[float, tuple] = {}
+    residuals: list[float] = []
+    rays: list[float] = []
+    for tau0, sigma in zip(tau0s, sigmas):
+        if tau0 not in terms:
+            terms[tau0] = fiber_terms(tau0, *labels, lam_probe)
+        ray, (d00, d11, d02, d22), nphi2 = terms[tau0]
+        s2 = 1.0 / (2.0 * sigma * sigma)
+        r2 = (d00 + s2 * (d11 + 2.0 * d02) + 3.0 * s2 * s2 * d22) / nphi2
+        residuals.append(math.sqrt(max(r2, 0.0)))
+        rays.append(ray)
     return WeylProbeResult(
         lam=lam,
         widths=widths,

@@ -25,13 +25,14 @@ Design notes that matter for correctness:
   i.e. the nonlinear term contributes int a |u|^{r_g-2} u v (not an extra
   factor of u).
 
-The mountain-pass solver deforms a discrete path from 0 to a negative-energy
-endpoint: the energy-maximal interior node takes line-searched descent steps
-orthogonal to the local path tangent, with periodic arclength re-spacing.  It
-then descends on the ray-peak (Nehari) set, rescaling each iterate w to the
-exact maximizer of the scalar profile t -> J(t w), which is built from the
-direction's three quadratures (T, F, C).  The logged (energy, gradient-norm)
-sequence is the Palais-Smale sequence the monitor inspects.
+The mountain-pass solver descends on the ray-peak (Nehari) set from the peak
+of the ray through a negative-energy endpoint: each iterate w is rescaled to
+the exact maximizer of the scalar profile t -> J(t w), which is built from the
+direction's three quadratures (T, F, C).  When every such profile has one
+interior maximum, the least ray-peak level is the mountain-pass level
+(Szulkin and Weth, "The method of Nehari manifold", Handbook of Nonconvex
+Analysis, 2010).  The logged (energy, gradient-norm) sequence is the
+Palais-Smale sequence the monitor inspects.
 """
 
 from __future__ import annotations
@@ -495,7 +496,8 @@ def gradient(u: ScalarField, problem: KirchhoffProblem) -> ScalarField:
 
 @dataclass
 class FSResult:
-    """Outcome of the Sobolev-quotient descent (an upper bound on the infimum)."""
+    """Outcome of the Sobolev-quotient descent: the quotient at its last
+    iterate, an upper bound on the grid infimum (not on the continuum constant)."""
 
     value: float
     minimizer: ScalarField
@@ -528,13 +530,17 @@ def folland_stein_constant(
 ) -> FSResult:
     """Minimize ||D_H u||_p^p / ||u||_{p*}^p over ring-zero grid fields.
 
-    Normalized projected gradient descent from a randomized bump.  Truncation
-    and discretization both bias the value upward, so this is an upper bound
-    on the continuum best constant; the history is a monotone-descent
-    certificate.  The descent stops after ``iters`` steps, not at convergence,
-    and the quotient is usually still falling there (65^3 cube of half-width 4,
-    p = 2, seed 0: 12.84 after 200 iterations, 10.06 after 400), so the budget
-    biases the value upward too; at p = 2 :func:`mp_threshold` grows as its square.
+    Normalized projected gradient descent from a randomized bump; the history
+    is a monotone-descent certificate.  The value bounds the grid infimum from
+    above, but it is no bound on the continuum best constant in either
+    direction: the central differences under-measure grid-scale oscillation,
+    so on a coarse grid the descent falls below the continuum value (which is
+    2 pi at p = 2 on H^1: the 17^3 cube of half-width 4 reads 2.44 after 1,500
+    iterations), while the fixed budget biases it upward.  The descent stops
+    after ``iters`` steps, not at convergence, and the quotient is usually
+    still falling there (65^3 cube of half-width 4, p = 2, seed 0: 12.84 after
+    200 iterations, 10.06 after 400); at p = 2 :func:`mp_threshold` grows as
+    its square.
     """
     n = conv.n_of(grid.ndim)
     Q = 2 * n + 2
@@ -653,9 +659,11 @@ def ray_scan(
 ) -> dict:
     """Profile of t -> J(t v0) for a unit-HW-norm direction.
 
-    Returns the sampled profile, the maximizing t_peak, the first t with
-    J < 0 (mountain-pass endpoint), and whether the tail past the peak is
-    strictly decreasing.  Raises if no sign change occurs before t_max.
+    The samples come from the closed-form ray profile of v0 (one quadrature
+    pass) and equal energy(t v0) up to rounding.  Returns the sampled
+    profile, the maximizing t_peak, the first t with J < 0 (mountain-pass
+    endpoint), and whether the tail past the peak is strictly decreasing.
+    Raises if no sign change occurs before t_max.
     """
     nv = hw_norm(v0, problem)
     if abs(nv - 1.0) > 1e-8:
@@ -663,7 +671,8 @@ def ray_scan(
     if steps < 8:
         raise ValueError("need at least 8 steps")
     ts = np.linspace(0.0, float(t_max), steps + 1)
-    js = np.array([energy(ScalarField(v0.grid, t * v0.values), problem) for t in ts])
+    ray = _RayProfile.of(v0, problem, problem.nonlinearity.weight_values(problem.grid))
+    js = np.array([ray.value(float(t)) for t in ts])
     ipk = int(np.argmax(js))
     neg = np.nonzero(js < 0.0)[0]
     if neg.size == 0:
@@ -679,6 +688,12 @@ def ray_scan(
         "t_negative": float(ts[neg[0]]),
         "tail_decreasing": bool(np.all(np.diff(js[ipk:]) < 0.0)),
     }
+
+
+# ps_monitor's default energy-tail window and Cauchy tolerance; a converged
+# mountain_pass_solve meets them by construction
+_PS_WINDOW = 10
+_PS_TOL = 1e-6
 
 
 @dataclass
@@ -720,325 +735,103 @@ class MPResult:
         }
 
 
-def _respace(path: list[np.ndarray], norm) -> list[np.ndarray]:
-    """Re-distribute interior nodes uniformly in polygonal arclength."""
-    m = len(path) - 1
-    seglen = [norm(path[i + 1] - path[i]) for i in range(m)]
-    total = sum(seglen)
-    if total <= 0:
-        return path
-    cum = np.concatenate([[0.0], np.cumsum(seglen)])
-    out = [path[0]]
-    for i in range(1, m):
-        target = total * i / m
-        j = int(np.searchsorted(cum, target, side="right") - 1)
-        j = min(max(j, 0), m - 1)
-        frac = (target - cum[j]) / seglen[j] if seglen[j] > 0 else 0.0
-        out.append(path[j] + frac * (path[j + 1] - path[j]))
-    out.append(path[m])
-    return out
-
-
-def _path_descent(
-    j_fn,
-    grad_fn,
-    path: list[np.ndarray],
-    inner,
-    tol: float | None = None,
-    tol_factor: float = 5e-5,
-    max_iter: int = 20000,
-    c1: float = 1e-4,
-    respace_every: int = 10,
-    climb: bool = True,
-) -> dict:
-    """Deform a discrete path (fixed endpoints) until the max node is critical.
-
-    Each iteration acts on the energy-maximal interior node.  While the path
-    is slack, the node descends along the negative gradient with its
-    path-tangent component removed, under an Armijo line search with two
-    safeguards for functionals that are unbounded below: the displacement is
-    capped at the local segment scale, and the node may not sink below the
-    lower of its two neighbors (past that level it no longer carries the path
-    maximum, and descending it further only drags the path off the ridge).
-    Nodes are re-spaced by arclength periodically and whenever segment
-    lengths grow uneven.
-
-    Once descent is blocked by those fences the path has tightened onto the
-    ridge, and the max node switches to saddle refinement: a climbing step
-    along the gradient with its tangential component reversed, accepted on
-    strict gradient-norm decrease.  The reflected-gradient flow has an
-    index-1 saddle as an attracting fixed point, which drives the gradient
-    norm to the tolerance instead of plateauing at the path resolution.
-    """
-    if len(path) < 3:
-        raise ValueError("path needs at least one interior node")
-    path = [np.asarray(q, dtype=float).copy() for q in path]
-
-    def norm(x):
-        return math.sqrt(max(inner(x, x), 0.0))
-
-    js = [j_fn(q) for q in path]
-    energies, grad_norms, norms = [], [], []
-    alpha = 1.0
-    beta = 1.0
-    converged = False
-    stagnated = False
-    climbing = False
-    istar = 1
-    it = 0
-    path_steps = 0
-    for it in range(1, max_iter + 1):
-        istar = 1 + int(np.argmax(js[1:-1]))
-        u = path[istar]
-        g = grad_fn(u)
-        gn = norm(g)
-        energies.append(float(js[istar]))
-        grad_norms.append(float(gn))
-        norms.append(float(norm(u)))
-        if tol is None:
-            tol = tol_factor * gn
-        if gn <= tol:
-            converged = True
-            break
-        tan = path[istar + 1] - path[istar - 1]
-        tn2 = inner(tan, tan)
-        local = 0.5 * (
-            norm(path[istar + 1] - path[istar]) + norm(path[istar] - path[istar - 1])
-        )
-
-        # path mode: fenced perpendicular descent of the max node
-        descended = False
-        if not climbing:
-            d = g - (inner(g, tan) / tn2) * tan if tn2 > 0 else g.copy()
-            dn2 = inner(d, d)
-            if dn2 > (1e-3 * gn) ** 2 and math.isfinite(dn2):
-                j0 = js[istar]
-                floor = min(js[istar - 1], js[istar + 1])
-                step = min(alpha, local / math.sqrt(dn2)) if local > 0 else alpha
-                while step > 1e-16:
-                    trial = u - step * d
-                    jt = j_fn(trial)
-                    if math.isfinite(jt) and floor <= jt <= j0 - c1 * step * dn2:
-                        descended = True
-                        break
-                    step *= 0.5
-                if descended and step * math.sqrt(dn2) < 1e-8 * max(local, 1e-30):
-                    # the fences only admit a displacement far below the path
-                    # resolution: that is creep, not progress -- the path is
-                    # taut
-                    descended = False
-        if descended:
-            path[istar] = trial
-            js[istar] = jt
-            alpha = min(step * 2.0, 2.0)
-            path_steps += 1
-            seglen = [norm(path[i + 1] - path[i]) for i in range(len(path) - 1)]
-            uneven = min(seglen) <= 0 or max(seglen) > 3.0 * min(seglen)
-            if uneven or (respace_every and path_steps % respace_every == 0):
-                path = _respace(path, norm)
-                js = [j_fn(q) for q in path]
-            continue
-
-        # refinement mode: climbing step, accepted on gradient-norm decrease.
-        # Entered once perpendicular descent of the max node is blocked (the
-        # path is taut); the designation is permanent, as in climbing-image
-        # path methods, so descent and refinement cannot undo each other.
-        if not climb:
-            stagnated = True
-            break
-        climbing = True
-        if tn2 > 0:
-            that = tan / math.sqrt(tn2)
-            force = g - 2.0 * inner(g, that) * that
-        else:
-            force = g
-        fn = norm(force)
-        if fn <= 0.0 or not math.isfinite(fn):
-            stagnated = True
-            break
-        step = min(beta, local / fn) if local > 0 else beta
-        refined = False
-        for _ in range(40):
-            if step <= 1e-16:
-                break
-            trial = u - step * force
-            gtn = norm(grad_fn(trial))
-            if math.isfinite(gtn) and gtn < gn:
-                refined = True
-                break
-            step *= 0.5
-        if not refined:
-            stagnated = True
-            break
-        path[istar] = trial
-        js[istar] = j_fn(trial)
-        beta = min(step * 2.0, 2.0)
-    return {
-        "path": path,
-        "u_star": path[istar],
-        "energy": energies[-1] if energies else js[istar],
-        "gradient_norm": grad_norms[-1] if grad_norms else 0.0,
-        "energies": energies,
-        "gradient_norms": grad_norms,
-        "norms": norms,
-        "converged": converged,
-        "stagnated": stagnated,
-        "iterations": it,
-        "tol": tol if tol is not None else 0.0,
-    }
-
-
-def _nehari_descent(
-    peak_fn,
-    grad_fn,
-    inner,
-    u0: np.ndarray,
-    tol: float,
-    max_iter: int,
-    energy_window: int = 10,
-    energy_tol: float = 1e-6,
-) -> dict:
-    """Gradient descent constrained to the ray-peak (Nehari) set.
-
-    Every iterate is rescaled to the peak of its own ray, so its energy is a
-    path-maximum level (positive once past the ridge geometry) and descent
-    cannot escape toward the functional's unbounded-below region.  At the
-    constrained minimum the ray-peak constraint is natural and the full
-    gradient vanishes, so the loop drives the plain gradient norm to ``tol``.
-    Convergence additionally requires the logged energy tail to be Cauchy
-    over ``energy_window`` iterations (the certificate ps_monitor checks),
-    so the returned log is a complete PS-sequence record.  ``peak_fn(w)``
-    returns (t*, J(t* w)) at the peak of the ray through w.
-    """
-
-    def norm(x):
-        return math.sqrt(max(inner(x, x), 0.0))
-
-    t_star, j0 = peak_fn(u0)
-    u = t_star * u0
-    energies, grad_norms, norms = [], [], []
-    step = 1.0
-    converged = False
-    stagnated = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        g = grad_fn(u)
-        gn = norm(g)
-        energies.append(float(j0))
-        grad_norms.append(float(gn))
-        norms.append(float(norm(u)))
-        if gn <= tol and len(energies) >= 3:
-            tail = energies[-energy_window:]
-            if max(tail) - min(tail) <= energy_tol * (1.0 + abs(energies[-1])):
-                converged = True
-                break
-        accepted = False
-        s = step
-        for _ in range(60):
-            if s <= 1e-18:
-                break
-            w = u - s * g
-            nw = norm(w)
-            if nw > 0 and math.isfinite(nw):
-                t_s, j_s = peak_fn(w)
-                if math.isfinite(j_s) and j_s < j0 - 1e-14 * (1.0 + abs(j0)):
-                    u = t_s * w
-                    j0 = j_s
-                    accepted = True
-                    break
-            s *= 0.5
-        if not accepted:
-            stagnated = True
-            break
-        step = min(s * 2.0, 1e3)
-    return {
-        "u_star": u,
-        "energy": j0,
-        "gradient_norm": grad_norms[-1] if grad_norms else 0.0,
-        "energies": energies,
-        "gradient_norms": grad_norms,
-        "norms": norms,
-        "converged": converged,
-        "stagnated": stagnated,
-        "iterations": it,
-    }
-
-
 def mountain_pass_solve(
     problem: KirchhoffProblem,
     e: ScalarField,
     nodes: int = 9,
-    tol: float | None = None,
     max_iter: int = 20000,
     threshold: float = math.nan,
 ) -> MPResult:
-    """Numerical mountain pass: deform the segment path 0 -> e to a saddle.
+    """Numerical mountain pass: gradient descent on the ray-peak (Nehari) set.
 
     Preconditions: energy(e) < 0 and e != 0 (the endpoint lies beyond the
-    mountain ridge).  Two phases share the iteration budget and the PS log:
-    fenced path deformation tightens the discrete path onto the ridge, then
-    ray-peak-constrained descent from the max node drives the gradient norm
-    to the tolerance.  Default tolerance targets a 2e4-fold reduction of the
-    initial max-node gradient norm.  ``threshold`` is stored for reporting;
-    compare against :func:`mp_threshold`.
+    mountain ridge).  The descent starts at the peak of the ray through e.
+    Each trial u - s grad J(u) is rescaled to the exact peak of its own ray
+    (see :class:`_RayProfile`) and accepted on strict energy decrease, so
+    every iterate's energy is the maximum of J along a path from 0 past the
+    ridge and the descent cannot escape toward the functional's
+    unbounded-below region.  When every fibering map t -> J(t w) has exactly
+    one interior maximum, the least such level is the mountain-pass level
+    (Szulkin and Weth, "The method of Nehari manifold", Handbook of Nonconvex
+    Analysis, 2010), and at the constrained minimum the constraint is natural:
+    the full gradient vanishes.  Convergence needs the gradient norm down to
+    5e-5 of its value at the first iterate (a 2e4-fold reduction of
+    ``gradient_norms[0]``; stored as ``MPResult.tol``) and an energy tail
+    that is Cauchy under :func:`ps_monitor`'s default window and tolerance,
+    so a converged log passes the monitor.  ``threshold`` is stored for
+    reporting; compare against :func:`mp_threshold`.
+
+    ``nodes`` is ignored.  It set the size of a discrete path in an earlier
+    two-phase solver, and the benchmark's ``mountain-pass`` workload
+    (``bench/workloads.py``) still passes ``nodes=9``; remove it when that
+    file next changes.
     """
     je = energy(e, problem)
     if not je < 0:
         raise ValueError(f"endpoint must have negative energy (got J = {je:.6g})")
-    if nodes < 3:
-        raise ValueError("need at least 3 path nodes")
+    if max_iter < 1:
+        raise ValueError("need max_iter >= 1")
     grid = problem.grid
     w = grid.cell_volume
-
-    def j_fn(vec: np.ndarray) -> float:
-        return energy(ScalarField(grid, vec.reshape(grid.counts)), problem)
-
-    def grad_fn(vec: np.ndarray) -> np.ndarray:
-        return gradient(ScalarField(grid, vec.reshape(grid.counts)), problem).values.ravel()
-
-    def inner(xv: np.ndarray, yv: np.ndarray) -> float:
-        return float(np.dot(xv, yv) * w)
-
     a = problem.nonlinearity.weight_values(grid)
 
-    def peak_fn(vec: np.ndarray) -> tuple[float, float]:
-        return _RayProfile.of(ScalarField(grid, vec.reshape(grid.counts)), problem, a).peak()
+    def norm(vals: np.ndarray) -> float:
+        flat = vals.ravel()
+        return math.sqrt(float(np.dot(flat, flat) * w))
 
-    base = e.values.ravel()
-    path = [(i / (nodes - 1)) * base for i in range(nodes)]
-    out = _path_descent(
-        j_fn, grad_fn, path, inner, tol=tol, max_iter=max_iter, climb=False
-    )
-    final = out
-    budget_left = max_iter - out["iterations"]
-    if not out["converged"] and budget_left > 0:
-        fine = _nehari_descent(
-            peak_fn, grad_fn, inner, out["u_star"], out["tol"], budget_left
-        )
-        final = dict(fine, iterations=out["iterations"] + fine["iterations"])
-        for key in ("energies", "gradient_norms", "norms"):
-            final[key] = out[key] + fine[key]
-    u_star = ScalarField(grid, final["u_star"].reshape(grid.counts))
+    def peak(vals: np.ndarray) -> tuple[float, float]:
+        return _RayProfile.of(ScalarField(grid, vals), problem, a).peak()
+
+    t, j = peak(e.values)
+    u = t * e.values
+    energies, grad_norms, norms = [], [], []
+    step = 1.0
+    converged = stagnated = False
+    for it in range(1, max_iter + 1):
+        g = gradient(ScalarField(grid, u), problem).values
+        gn = norm(g)
+        if it == 1:
+            tol = 5e-5 * gn
+        energies.append(j)
+        grad_norms.append(gn)
+        norms.append(norm(u))
+        if gn <= tol and it >= 3:
+            tail = energies[-_PS_WINDOW:]
+            if max(tail) - min(tail) <= _PS_TOL * (1.0 + abs(energies[-1])):
+                converged = True
+                break
+        s = step
+        for _ in range(60):
+            trial = u - s * g
+            nt = norm(trial)
+            if nt > 0 and math.isfinite(nt):
+                t, jt = peak(trial)
+                if math.isfinite(jt) and jt < j - 1e-14 * (1.0 + abs(j)):
+                    break
+            s *= 0.5
+        else:
+            stagnated = True
+            break
+        u, j, step = t * trial, jt, min(s * 2.0, 1e3)
+    u_star = ScalarField(grid, u)
     flags = {
-        "converged": final["converged"],
+        "converged": converged,
         "positive_norm": hw_norm(u_star, problem) > 1e-10,
-        "positive_energy": final["energy"] > 0.0,
-        "below_threshold": bool(final["energy"] < threshold)
-        if math.isfinite(threshold)
-        else None,
+        "positive_energy": j > 0.0,
+        "below_threshold": bool(j < threshold) if math.isfinite(threshold) else None,
     }
     return MPResult(
         u_star=u_star,
-        energy=final["energy"],
-        gradient_norm=final["gradient_norm"],
-        energies=final["energies"],
-        gradient_norms=final["gradient_norms"],
-        norms=final["norms"],
+        energy=j,
+        gradient_norm=grad_norms[-1],
+        energies=energies,
+        gradient_norms=grad_norms,
+        norms=norms,
         threshold=threshold,
         flags=flags,
-        iterations=final["iterations"],
-        stagnated=final["stagnated"],
-        tol=out["tol"],
+        iterations=it,
+        stagnated=stagnated,
+        tol=tol,
     )
 
 
@@ -1049,7 +842,8 @@ def mp_geometry_check(
     seed: int = 0,
 ) -> dict:
     """Sampled mountain-ridge certificate: largest rho with min J on the
-    HW-sphere of radius rho positive; alpha = half that minimum.
+    HW-sphere of radius rho positive; alpha = half that minimum.  Each
+    sample's energies along its ray come from its closed-form ray profile.
 
     A sampled certificate, not a proof; ``ok`` False signals exponent or
     parameter misconfiguration (no ridge found on the candidate spheres).
@@ -1060,20 +854,19 @@ def mp_geometry_check(
         rhos = tuple(sorted((float(r) for r in rhos), reverse=True))
     if any(r <= 0 for r in rhos):
         raise ValueError("sphere radii must be positive")
-    pool = []
+    a = problem.nonlinearity.weight_values(problem.grid)
+    pool = []  # (ray profile of a sample, 1 / its HW norm)
     for i in range(samples):
         fld = random_dirichlet_field(
             problem.grid, seed=seed + 7 * i, bumps=1 + i % 3,
             rough=0.0 if i % 4 else 0.02,
         )
-        nv = hw_norm(fld, problem)
-        if nv > 0:
-            pool.append(fld.values / nv)
+        ray = _RayProfile.of(fld, problem, a)
+        if ray.T > 0:
+            pool.append((ray, ray.T ** (-1.0 / problem.p)))
     table = []
     for rho in rhos:
-        jmin = min(
-            energy(ScalarField(problem.grid, rho * vals), problem) for vals in pool
-        )
+        jmin = min(ray.value(rho * scale) for ray, scale in pool)
         table.append({"rho": float(rho), "min_energy": float(jmin), "positive": jmin > 0})
         if jmin > 0:
             return {
@@ -1089,8 +882,8 @@ def mp_geometry_check(
 def ps_monitor(
     result: MPResult,
     threshold: float | None = None,
-    energy_window: int = 10,
-    energy_tol: float = 1e-6,
+    energy_window: int = _PS_WINDOW,
+    energy_tol: float = _PS_TOL,
 ) -> dict:
     """Palais-Smale bookkeeping on an MPResult log.
 

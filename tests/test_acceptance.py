@@ -359,9 +359,7 @@ def test_criterion_11_mountain_pass_solve():
     v0 = _desk_bump_direction(problem)
     ray = ray_scan(v0, problem, t_max=24.0, steps=200)
     endpoint = ScalarField(problem.grid, ray["t_negative"] * v0.values)
-    mp = mountain_pass_solve(
-        problem, endpoint, nodes=9, max_iter=20000, threshold=float(threshold)
-    )
+    mp = mountain_pass_solve(problem, endpoint, max_iter=20000, threshold=float(threshold))
     ps = ps_monitor(mp)
     reduction = mp.gradient_norms[0] / mp.gradient_norm
     elapsed = time.perf_counter() - t0

@@ -281,7 +281,6 @@ def test_solve_campaign(tmp_path):
             "kind": "solve",
             "params": {
                 "counts": 9,
-                "nodes": 7,
                 "max_iter": 8000,
                 "fs_iters": 40,
                 "ray_steps": 120,

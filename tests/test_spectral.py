@@ -439,6 +439,30 @@ def test_weyl_probe_zero_mode():
     assert res.tau0s == [0.4, 0.2]
 
 
+def test_weyl_probe_refines_once_per_tau0_with_per_width_residuals(monkeypatch):
+    # one refinement serves every width of a ladder call, and each width's
+    # residual and Ritz value are bitwise those of a call that refines anew
+    # for that width alone
+    widths = [2.0, 4.0, 8.0]
+    grid = _probe_grid(6.0, 81, [16.0])
+    refine, calls = spectral._refine_eigvec, []
+    monkeypatch.setattr(
+        spectral, "_refine_eigvec", lambda *a, **kw: calls.append(1) or refine(*a, **kw)
+    )
+    for probe in (None, 6.0):
+        calls.clear()
+        res = weyl_probe(12.0, 1, widths, grid, j=1, probe_lambda=probe)
+        assert len(calls) == 1
+        alone = [weyl_probe(12.0, 1, [w, 2.0 * w], grid, j=1, probe_lambda=probe) for w in widths]
+        for field in ("residuals", "eigen_estimates"):
+            got = np.array(getattr(res, field))
+            want = np.array([getattr(r, field)[0] for r in alone])
+            assert got.tobytes() == want.tobytes()
+    calls.clear()
+    weyl_probe(0.0, 0, widths[:2], _probe_grid(7.0, 71, [16.0]), tau0_start=0.4)
+    assert len(calls) == 2  # zero mode: a new tau0 for every width
+
+
 def test_weyl_probe_validation():
     widths = [2.0, 4.0]
     g = _probe_grid(6.0, 61, widths)

@@ -3,9 +3,8 @@
 Oracles: closed-form Kirchhoff coefficients and thresholds recomputed from
 independent arithmetic, an exact 4-term ray decomposition of the energy
 rebuilt from quadrature primitives, second-order finite differences against
-the assembled gradient, a hand toy saddle for the path solver, and a
-closed-form ray peak, checked against dense energy scans, for the
-constrained-descent projection.
+the assembled gradient, and a closed-form ray peak, checked against dense
+energy scans, for the constrained-descent projection.
 """
 
 import math
@@ -37,7 +36,7 @@ from heislab import (
     zero_boundary,
 )
 from heislab import operators, variational
-from heislab.variational import _path_descent, _RayProfile
+from heislab.variational import _RayProfile
 
 
 def desk_problem(counts=9, lam=50.0, half=4.0):
@@ -475,35 +474,8 @@ def test_mp_geometry_check_finds_ridge():
 
 
 # ---------------------------------------------------------------------------
-# path solver and constrained refinement
+# ray peaks and the constrained descent
 # ---------------------------------------------------------------------------
-
-
-def test_path_descent_toy_saddle():
-    # (x^2 - 1)^2 + y^2 has wells at (+-1, 0) and an index-1 saddle at (0, 0)
-    def j_fn(q):
-        return float((q[0] ** 2 - 1.0) ** 2 + q[1] ** 2)
-
-    def grad_fn(q):
-        return np.array([4.0 * q[0] * (q[0] ** 2 - 1.0), 2.0 * q[1]])
-
-    def inner(a, b):
-        return float(np.dot(a, b))
-
-    a, b = np.array([-1.0, 0.3]), np.array([1.0, -0.2])
-    path = [a + (i / 8.0) * (b - a) for i in range(9)]
-    out = _path_descent(j_fn, grad_fn, path, inner, tol=1e-8, max_iter=3000)
-    assert out["converged"]
-    assert np.allclose(out["u_star"], [0.0, 0.0], atol=1e-6)
-    assert out["energy"] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_path_descent_needs_interior_node():
-    with pytest.raises(ValueError):
-        _path_descent(
-            lambda q: 0.0, lambda q: q, [np.zeros(2), np.ones(2)],
-            lambda a, b: float(np.dot(a, b)),
-        )
 
 
 def test_ray_peak_closed_form():
@@ -552,15 +524,19 @@ RAY_PEAK_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(RAY_PEAK_CASES))
-def test_ray_peak_matches_dense_energy_scan(case):
-    grid = BoxGrid((-4.0,) * 3, (4.0,) * 3, (9,) * 3)
+def _ray_case_problem(case, counts=9, lam=5.0):
     data = {
-        "n": 1, "p": 2.0, "lam": 5.0, "grid": grid,
+        "n": 1, "p": 2.0, "lam": lam, "grid": BoxGrid((-4.0,) * 3, (4.0,) * 3, (counts,) * 3),
         "kirchhoff": KirchhoffM.nondegenerate(1.0, b=1.0, kappa=1.5),
         "nonlinearity": GrowthNonlinearity(3.5, 3.5),
     }
-    prob = KirchhoffProblem(**{**data, **RAY_PEAK_CASES[case]})
+    return KirchhoffProblem(**{**data, **RAY_PEAK_CASES[case]})
+
+
+@pytest.mark.parametrize("case", list(RAY_PEAK_CASES))
+def test_ray_peak_matches_dense_energy_scan(case):
+    prob = _ray_case_problem(case)
+    grid = prob.grid
     a = prob.nonlinearity.weight_values(grid)
     w = random_dirichlet_field(grid, seed=3, bumps=2)
     t_peak, j_peak = _RayProfile.of(w, prob, a).peak()
@@ -574,6 +550,26 @@ def test_ray_peak_matches_dense_energy_scan(case):
         _RayProfile(prob, T=1.0, F=0.0, C=0.0).peak()  # phi rises without bound
 
 
+def _slope_sign_changes(prob, w):
+    ray = _RayProfile.of(w, prob, prob.nonlinearity.weight_values(prob.grid))
+    slopes = np.array([ray.slope(float(t)) for t in np.geomspace(1e-4, 1e4, 801)])
+    assert np.all(slopes != 0.0)
+    return int(np.count_nonzero(np.diff(np.sign(slopes))))
+
+
+@pytest.mark.parametrize(
+    "case, counts, lam",
+    [(case, 9, 5.0) for case in RAY_PEAK_CASES] + [("b>0", 33, 50.0)],  # last: criterion 11
+)
+def test_fibering_maps_have_one_interior_maximum(case, counts, lam):
+    # the mountain-pass level is the least ray-peak level only if every
+    # t -> J(t w) rises, then falls: phi' changes sign exactly once
+    prob = _ray_case_problem(case, counts, lam)
+    bump = dirichlet_field(prob.grid, lambda *m: np.exp(-sum(c * c for c in m) / (2.0 * 1.2**2)))
+    directions = [bump] + [random_dirichlet_field(prob.grid, seed=s) for s in range(5)]
+    assert [_slope_sign_changes(prob, w) for w in directions] == [1] * 6
+
+
 def test_mountain_pass_solve_small(monkeypatch):
     prob = desk_problem()
     v0 = random_dirichlet_field(prob.grid, seed=1, bumps=2)
@@ -584,10 +580,13 @@ def test_mountain_pass_solve_small(monkeypatch):
     monkeypatch.setattr(
         variational, "energy", lambda *a: calls.append(1) or energy(*a)
     )
-    mp = mountain_pass_solve(prob, e, nodes=7, max_iter=8000)
+    mp = mountain_pass_solve(prob, e, max_iter=8000)
     monkeypatch.undo()
-    # ray peaks come from the closed-form profile, not from energy calls
-    assert len(calls) <= 2 * mp.iterations
+    # the descent starts at the peak of the ray through the endpoint
+    a = prob.nonlinearity.weight_values(prob.grid)
+    assert mp.energies[0] == _RayProfile.of(e, prob, a).peak()[1]
+    # ray peaks come from the closed-form profile: energy only checks e
+    assert len(calls) == 1
     assert mp.flags["converged"]
     assert mp.flags["positive_norm"]
     assert mp.flags["positive_energy"]
@@ -611,7 +610,7 @@ def test_mountain_pass_endpoint_validation():
     rs = ray_scan(v0, prob, t_max=60.0, steps=400)
     e = ScalarField(prob.grid, rs["t_negative"] * v0.values)
     with pytest.raises(ValueError):
-        mountain_pass_solve(prob, e, nodes=2)
+        mountain_pass_solve(prob, e, max_iter=0)
 
 
 # ---------------------------------------------------------------------------

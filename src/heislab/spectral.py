@@ -51,6 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
+import scipy.linalg.lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -379,22 +381,93 @@ def _gershgorin_floor(A: sp.spmatrix) -> float:
 
 # A rotation sector of dimension n_q is solved by the shift-invert block
 # iteration when BLOCK_RATIO * m <= n_q and by a dense eigh otherwise.  At
-# 129^2 (n_q = 4160, tau = 1) the block iteration wins at m = 130 and loses
-# at m = 260, where the wanted values span two Landau levels.
+# 129^2 (n_q = 4160, tau = 1) the block iteration wins at m = 130 and at
+# m = 260, where the wanted values span two Landau levels, and loses at
+# m = 490; the ratio dates from when it still lost at m = 260.
 BLOCK_RATIO = 32
 _RATE = 0.3
 _BAND = 0.01
 _MAX_ITER = 100
+# A first Cholesky-QR pass is refused when a column keeps less than this
+# fraction of its norm off the span of the columns before it.
+_QR_LIMIT = 1e-6
+# The sector-dense path asks each sector for ceil(m / 4) + _SECTOR_MARGIN pairs.
+_SECTOR_MARGIN = 16
+# The residual check forms A v - v lambda this many columns at a time.
+_RESIDUAL_COLUMNS = 64
+
+
+def _cholesky_qr(Y: np.ndarray, shift: float = 0.0, limit: float = 0.0) -> bool:
+    """One Cholesky-QR pass in place: ``Y <- Y R^{-1}``, ``R^H R = Y^H Y + shift D``.
+
+    D is the diagonal of the Gram matrix, so the pass behaves the same
+    under column scaling.  Returns False, leaving Y as it was, when the
+    Cholesky factorization fails or a diagonal entry of R is below
+    ``limit`` times the norm of its column of Y.
+    """
+    herk, trsm = scipy.linalg.blas.get_blas_funcs(
+        ("herk" if Y.dtype.kind == "c" else "syrk", "trsm"), (Y,)
+    )
+    G = herk(1.0, Y, trans=2)  # upper triangle of Y^H Y
+    norms2 = G.diagonal().real.copy()
+    G[np.diag_indices_from(G)] += shift * norms2
+    R, info = scipy.linalg.lapack.get_lapack_funcs("potrf", (G,))(G, overwrite_a=True)
+    if info or np.any(R.diagonal().real < limit * np.sqrt(norms2)):
+        return False
+    trsm(1.0, R, Y, side=1, overwrite_b=True)
+    return True
+
+
+def _orthonormalize(Y: np.ndarray) -> np.ndarray:
+    """Orthonormalize the Fortran-ordered columns of Y in place; returns Y.
+
+    Cholesky-QR run twice when the first pass finds the columns well
+    conditioned (``_QR_LIMIT``); otherwise shifted Cholesky-QR3 (Fukaya et
+    al., SIAM J. Sci. Comput. 42, 2020): a pass on the Gram matrix shifted by
+    ``11 (n p + p (p + 1)) eps`` of its diagonal, then two plain passes.
+    Householder QR is the fallback when a pass still fails.
+    """
+    n, p = Y.shape
+    ok = _cholesky_qr(Y, limit=_QR_LIMIT)
+    if not ok:
+        shift = 11.0 * (n * p + p * (p + 1)) * np.finfo(float).eps
+        ok = _cholesky_qr(Y, shift=shift) and _cholesky_qr(Y)
+    if not (ok and _cholesky_qr(Y)):
+        Y[...] = scipy.linalg.qr(Y, mode="economic", check_finite=False)[0]
+    return Y
 
 
 def _ritz_step(B: sp.spmatrix, lu, X: np.ndarray):
-    """One shift-invert step: solve, orthonormalize, Rayleigh-Ritz on the block."""
-    Q = np.linalg.qr(lu.solve(X))[0]
+    """One shift-invert step on the Fortran-ordered block X, in place.
+
+    Solve, orthonormalize, Rayleigh-Ritz; X receives the Ritz vectors.
+    Returns the Ritz values and their residual norms.  The dense products
+    go through SciPy's BLAS and LAPACK, the library SuperLU calls: NumPy and
+    SciPy wheels each bundle an OpenBLAS with its own thread pool, and with
+    two threads, alternating between the two made a step about three times
+    slower.
+    """
+    Q = _orthonormalize(lu.solve(X))
     BQ = B @ Q
-    theta, S = np.linalg.eigh(Q.conj().T @ BQ)
-    X = Q @ S
-    res = np.linalg.norm(BQ @ S - X * theta, axis=0)
-    return X, theta, res
+    gemm = scipy.linalg.blas.get_blas_funcs("gemm", (Q,))
+    evd = scipy.linalg.lapack.get_lapack_funcs(
+        "heevd" if Q.dtype.kind == "c" else "syevd", (Q,)
+    )
+    theta, S, info = evd(gemm(1.0, Q, BQ, trans_a=2), overwrite_a=True)
+    if info:
+        raise EigensolverError(f"Rayleigh-Ritz eigensolve failed (LAPACK info {info})")
+    gemm(1.0, Q, S, c=X, overwrite_c=True)  # X is Fortran-ordered: written in place
+    np.multiply(X, theta, out=Q)
+    R = gemm(1.0, BQ, S, beta=-1.0, c=Q, overwrite_c=True)  # B X - X theta
+    return theta, _column_norms(R)
+
+
+def _column_norms(V: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of V, without a temporary of V's size."""
+    if V.dtype.kind != "c":
+        return np.sqrt(np.einsum("ij,ij->j", V, V))
+    re, im = V.real, V.imag
+    return np.sqrt(np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im))
 
 
 def _shift_invert_pairs(blocks, m: int, floor: float, residual_bound: float, seed: int):
@@ -402,39 +475,65 @@ def _shift_invert_pairs(blocks, m: int, floor: float, residual_bound: float, see
 
     Block subspace iteration with Rayleigh-Ritz on ``(B - shift I)^{-1}`` per
     block, from ``ceil(m / len(blocks))`` seeded random columns per block.
-    Every shift starts at ``floor``, a lower bound on every eigenvalue.
-    After each iteration a block's shift moves up to its lowest Ritz value
-    minus that pair's residual (an eigenvalue lies within the residual, and
-    the shift stays at least ``residual_bound`` below it) when that cuts the
-    distance to the Ritz value by 4 or more; a new shift is kept only if its
-    factor's inertia shows no eigenvalue below it.  Each block is then
-    resized, by at most a doubling, to its inertia count below
-    ``max(shift + (cut - shift) / _RATE, cut + _BAND |cut|)``, where cut is
-    the merged m-th Ritz value (an upper bound on lambda_m).  Every
+    Each step orthonormalizes the solved block by Cholesky-QR run twice, or
+    by shifted Cholesky-QR3 when its columns are nearly dependent (new
+    random columns after a close shift), with Householder QR as the last
+    resort (``_orthonormalize``).  Every shift starts at ``floor``, a lower
+    bound on every eigenvalue.  After each iteration a block's shift moves
+    up to its lowest Ritz value minus that pair's residual (an eigenvalue
+    lies within the residual, and the shift stays at least
+    ``residual_bound`` below it) when that cuts the distance to the Ritz
+    value by 4 or more; a new shift is kept only if its factor's inertia
+    shows no eigenvalue below it, and the factor it replaces is freed
+    before the next factorization.  Each block is then resized, by at most
+    a doubling, to its inertia count below
+    ``edge = max(shift + (cut - shift) / _RATE, cut + _BAND |cut|)``, where
+    cut is the merged m-th Ritz value (an upper bound on lambda_m).  Every
     eigenvalue outside the block is then that far above the cut: each wanted
     pair converges at least by ``_RATE`` per iteration, and a band narrower
     than ``_BAND`` of the cut that the cut splits lies wholly inside, which
     keeps the Ritz values accurate to the square of the residuals.  The
-    iteration stops when every one of the merged m lowest pairs meets
-    ``residual_bound``.
+    count is redone only when the size can depend on it: after the shift
+    moved (the edge falls and the block shrinks), when the edge rose above
+    the last counted one, or when the last resize was capped by the
+    doubling; otherwise the block keeps its size, which the last count
+    showed to be enough.  The iteration stops when every one of the merged
+    m lowest pairs meets ``residual_bound``.
     """
     rng = np.random.default_rng(seed)
 
-    def start(B, p):
-        X = rng.standard_normal((B.shape[0], p))
-        return X + 1j * rng.standard_normal(X.shape) if B.dtype.kind == "c" else X
+    def fill(V):
+        V[...] = rng.standard_normal(V.shape)
+        if V.dtype.kind == "c":
+            V.imag = rng.standard_normal(V.shape)
 
-    shifts = [floor] * len(blocks)
+    def grown(B, cols):
+        # Fortran order, so that the live block, a column prefix, is
+        # contiguous and BLAS writes it in place
+        width = min(B.shape[0], 2 * cols)
+        return np.empty((B.shape[0], width), dtype=np.result_type(B.dtype, float), order="F")
+
+    nb = len(blocks)
+    shifts = [floor] * nb
     lus = [_shifted_lu(B, floor)[0] for B in blocks]
-    X = [start(B, min(B.shape[0], -(-m // len(blocks)))) for B in blocks]
-    theta = [np.empty(0)] * len(blocks)
-    res = [np.empty(0)] * len(blocks)
+    # per block: a work array whose column prefix X[b] is the live block,
+    # and the edge of the last inertia count with whether it capped the size
+    work, X = [], []
+    for B in blocks:
+        p = min(B.shape[0], -(-m // nb))
+        work.append(grown(B, p))
+        X.append(work[-1][:, :p])
+        fill(X[-1])
+    edges = [-np.inf] * nb
+    capped = [False] * nb
+    theta = [np.empty(0)] * nb
+    res = [np.empty(0)] * nb
     for _ in range(_MAX_ITER):
         for b, B in enumerate(blocks):
             if X[b].shape[1]:
-                X[b], theta[b], res[b] = _ritz_step(B, lus[b], X[b])
+                theta[b], res[b] = _ritz_step(B, lus[b], X[b])
         vals, resid = np.concatenate(theta), np.concatenate(res)
-        owner = np.repeat(np.arange(len(blocks)), [t.size for t in theta])
+        owner = np.repeat(np.arange(nb), [t.size for t in theta])
         order = np.argsort(vals, kind="stable")[:m]
         worst = order[np.argmax(resid[order])]
         if resid[worst] <= residual_bound:
@@ -446,24 +545,66 @@ def _shift_invert_pairs(blocks, m: int, floor: float, residual_bound: float, see
                 continue
             low = theta[b][0]
             step = max(res[b][0], residual_bound)
+            moved = False
             while 4.0 * step <= low - shifts[b]:
-                lu, below = _shifted_lu(B, low - step)
+                trial, below = _shifted_lu(B, low - step)
                 if below == 0:
-                    shifts[b], lus[b] = low - step, lu
+                    shifts[b], lus[b], moved = low - step, trial, True
                     break
+                del trial
                 step *= 4.0
             size = 0
             if shifts[b] < cut:
                 edge = max(shifts[b] + (cut - shifts[b]) / _RATE, cut + _BAND * abs(cut))
-                size = min(B.shape[0], 2 * p, _count_below(B, edge))
+                if moved or capped[b] or edge > edges[b]:
+                    count = _count_below(B, edge)
+                    edges[b], capped[b] = edge, count > 2 * p
+                    size = min(count, 2 * p)
+                else:
+                    size = p
+            if size > work[b].shape[1]:
+                work[b] = grown(B, size)
+                work[b][:, :p] = X[b]
             keep = min(size, p)
-            X[b] = np.hstack([X[b][:, :keep], start(B, size - keep)])
+            X[b] = work[b][:, :size]
+            fill(X[b][:, keep:])
             theta[b], res[b] = theta[b][:keep], res[b][:keep]
-    where = f"sector {owner[worst]}" if len(blocks) > 1 else "the operator"
+    where = f"sector {owner[worst]}" if nb > 1 else "the operator"
     raise EigensolverError(
         f"shift-invert iteration in {where} did not converge in {_MAX_ITER} "
         f"iterations: worst residual {resid[worst]:.3e} exceeds {residual_bound:.1e}"
     )
+
+
+def _sector_dense_pairs(blocks, m: int):
+    """Lowest eigenpairs of each sector block by dense eigh, enough for the merged m.
+
+    Each sector is asked for ``ceil(m / 4) + _SECTOR_MARGIN`` pairs, about
+    its share of the m lowest.  A sector whose values all land inside the
+    merged m lowest may hold more below the merged m-th value cut; its
+    inertia below cut decides, and the sector is solved again for m pairs
+    when the count exceeds the values it returned below cut (or when the
+    sectors returned fewer than m values together).
+    """
+
+    def lowest(S, k):
+        k = min(k, S.shape[0])
+        return scipy.linalg.eigh(
+            S.toarray(order="F"), subset_by_index=[0, k - 1], overwrite_a=True
+        )
+
+    parts = [lowest(S, -(-m // len(blocks)) + _SECTOR_MARGIN) for S in blocks]
+    merged = np.sort(np.concatenate([w for w, _ in parts]))
+    for b, S in enumerate(blocks):
+        w = parts[b][0]
+        if w.size == min(m, S.shape[0]):
+            continue
+        if merged.size < m or (
+            w[-1] <= merged[m - 1]
+            and _count_below(S, merged[m - 1]) > np.count_nonzero(w < merged[m - 1])
+        ):
+            parts[b] = lowest(S, m)
+    return parts
 
 
 def _lowest_pairs(A: sp.csr_matrix, m: int, residual_bound: float, seed: int):
@@ -472,15 +613,11 @@ def _lowest_pairs(A: sp.csr_matrix, m: int, residual_bound: float, seed: int):
     if bases is None:
         vals, vecs = _shift_invert_pairs([A], m, _gershgorin_floor(A), residual_bound, seed)[0]
         return vals[:m], vecs[:, :m]
-    if BLOCK_RATIO * m <= min(U.shape[1] for U in bases):
-        blocks = [(U.conj().T @ (A @ U)).real for U in bases]
+    blocks = [(U.conj().T @ (A @ U)).real for U in bases]
+    if BLOCK_RATIO * m <= min(S.shape[0] for S in blocks):
         parts = _shift_invert_pairs(blocks, m, _gershgorin_floor(A), residual_bound, seed)
     else:
-        parts = []
-        for U in bases:
-            block = (U.conj().T @ (A @ U)).real.toarray()
-            k = min(m, block.shape[0])
-            parts.append(scipy.linalg.eigh(block, subset_by_index=[0, k - 1]))
+        parts = _sector_dense_pairs(blocks, m)
     vals = np.concatenate([w for w, _ in parts])
     owner = np.concatenate([np.full(w.size, b) for b, (w, _) in enumerate(parts)])
     local = np.concatenate([np.arange(w.size) for w, _ in parts])
@@ -508,7 +645,10 @@ def lowest_eigenvalues(
     path).  Above it, an operator on an n x n grid that has the exact
     rotation and flip symmetries of ``_rotation_sectors`` is split into its
     four real rotation sectors, each reduced by a dense ``eigh`` when
-    ``BLOCK_RATIO * m`` exceeds the sector dimension.  Otherwise the
+    ``BLOCK_RATIO * m`` exceeds the sector dimension; that ``eigh`` asks for
+    about a quarter of m vectors per sector and redoes a sector with m when
+    its inertia shows more below the merged cut (``_sector_dense_pairs``).
+    Otherwise the
     sectors, and any operator without the symmetry as one block, go to a
     shift-invert block iteration (``_shift_invert_pairs``): sparse LU solves
     about a shift certified by inertia to lie below the block's spectrum,
@@ -516,9 +656,9 @@ def lowest_eigenvalues(
     a start block drawn from ``seed``.  The iteration stops when every pair
     of the merged m lowest meets ``residual_bound``.
 
-    Every returned pair is residual-checked:
-    ||A v - lambda v|| / ||v|| <= residual_bound.  Every result above the
-    dense cutoff is certified by Sylvester inertia: the number of
+    Every returned pair is residual-checked, ``_RESIDUAL_COLUMNS`` columns
+    at a time: ||A v - lambda v|| / ||v|| <= residual_bound.  Every result
+    above the dense cutoff is certified by Sylvester inertia: the number of
     eigenvalues of A below ``lambda_m - residual_bound`` must equal the
     number of returned values below it.
 
@@ -537,7 +677,13 @@ def lowest_eigenvalues(
     else:
         vals, vecs = _lowest_pairs(A.tocsr(), m, residual_bound, seed)
     vals = np.real(vals)
-    res = np.linalg.norm(A @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
+    res = np.empty(m)
+    for j in range(0, m, _RESIDUAL_COLUMNS):
+        cols = slice(j, j + _RESIDUAL_COLUMNS)
+        v = vecs[:, cols]
+        r = A @ v
+        r -= v * vals[cols]
+        res[cols] = _column_norms(r) / _column_norms(v)
     bad = np.flatnonzero(res > residual_bound)
     if bad.size:
         i = bad[0]

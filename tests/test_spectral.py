@@ -252,6 +252,140 @@ def test_block_path_matches_sector_dense_path(monkeypatch, tau):
     assert vecs.shape == (grid.node_count, 30)
 
 
+def test_block_solve_factors_no_more_than_every_edge_recount(monkeypatch):
+    # 65^2, tau = 2, m = 30 on the block path: recounting every block at its
+    # edge after every iteration made 53 factorizations here (shift trials,
+    # edge counts, starting factors and the certificate); recounting only
+    # when the resize depends on the count must not make more
+    calls = []
+    shifted_lu = spectral._shifted_lu
+
+    def spy(A, shift):
+        calls.append(A.shape[0])
+        return shifted_lu(A, shift)
+
+    monkeypatch.setattr(spectral, "_shifted_lu", spy)
+    grid = BoxGrid((-8.0, -8.0), (8.0, 8.0), (65, 65))
+    lowest_eigenvalues(assemble_twisted(2.0, grid), 30)
+    assert calls.count(grid.node_count) == 1  # the certificate
+    assert len(calls) <= 53
+
+
+def test_block_widths_shrink_as_the_shift_climbs(monkeypatch):
+    # 65^2, tau = 0.5, m = 30: each block doubles from 8 to 32 columns, is
+    # cut to its count (17 or 18) with the shift still far below, and shrinks
+    # again (to 13 or 14) as later shift moves pull the edge down.  Without
+    # a recount after a shift move the blocks stay at 17 or 18; recounting
+    # only when the edge rises keeps them at 16, too few for the band.
+    widths = []
+    ritz_step = spectral._ritz_step
+
+    def spy(B, lu, X):
+        widths.append(X.shape[1])
+        return ritz_step(B, lu, X)
+
+    monkeypatch.setattr(spectral, "_ritz_step", spy)
+    grid = BoxGrid((-8.0, -8.0), (8.0, 8.0), (65, 65))
+    lowest_eigenvalues(assemble_twisted(0.5, grid), 30)
+    per_block = [widths[b::4] for b in range(4)]
+    assert all(max(w) == 32 and w[-1] < w[3] for w in per_block)
+
+
+def _orthonormal_with_span(Y, Q) -> None:
+    p = Y.shape[1]
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(p), 2) <= 1e-13
+    # every column of Y lies in the span of Q
+    assert np.linalg.norm(Y - Q @ (Q.conj().T @ Y), 2) <= 1e-13 * np.linalg.norm(Y, 2)
+
+
+def _random_block(dtype, shape=(4160, 60), seed=3):
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal(shape)
+    if dtype is complex:
+        Y = Y + 1j * rng.standard_normal(shape)
+    return np.asfortranarray(Y)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_orthonormalize_random_block(monkeypatch, dtype):
+    passes = []
+    cholesky_qr = spectral._cholesky_qr
+
+    def spy(Y, shift=0.0, limit=0.0):
+        passes.append(shift)
+        return cholesky_qr(Y, shift, limit)
+
+    monkeypatch.setattr(spectral, "_cholesky_qr", spy)
+    Y = _random_block(dtype)
+    Q = spectral._orthonormalize(Y.copy(order="F"))
+    assert passes == [0.0, 0.0]  # Cholesky-QR run twice, no shifted pass
+    _orthonormal_with_span(Y, Q)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_orthonormalize_near_parallel_columns_takes_shifted_pass(monkeypatch, dtype):
+    passes = []
+    cholesky_qr = spectral._cholesky_qr
+
+    def spy(Y, shift=0.0, limit=0.0):
+        ok = cholesky_qr(Y, shift, limit)
+        passes.append((shift > 0.0, ok))
+        return ok
+
+    def no_householder(*args, **kwargs):
+        raise AssertionError("shifted Cholesky-QR3 must not need Householder QR here")
+
+    monkeypatch.setattr(spectral, "_cholesky_qr", spy)
+    monkeypatch.setattr(spectral.scipy.linalg, "qr", no_householder)
+    Y = _random_block(dtype)
+    Y[:, 7] = Y[:, 3] + 1e-12 * Y[:, 7]
+    assert 1e11 < np.linalg.cond(Y) < 1e13
+    Q = spectral._orthonormalize(Y.copy(order="F"))
+    # the plain first pass refuses, then shifted Cholesky-QR3
+    assert passes == [(False, False), (True, True), (False, True), (False, True)]
+    _orthonormal_with_span(Y, Q)
+
+
+def test_orthonormalize_falls_back_to_householder_on_a_zero_column(monkeypatch):
+    calls = []
+    qr = spectral.scipy.linalg.qr
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.scipy.linalg, "qr", spy)
+    Y = _random_block(float, shape=(500, 20))
+    Y[:, 5] = 0.0
+    Q = spectral._orthonormalize(Y.copy(order="F"))
+    assert calls == [(500, 20)]
+    assert np.linalg.norm(Q.T @ Q - np.eye(20), 2) <= 1e-13
+
+
+@pytest.mark.parametrize("m, margin", [(140, -10), (200, 0)])
+def test_sector_dense_path_redoes_a_sector_that_may_hold_more(monkeypatch, m, margin):
+    # 45^2, tau = 1: the lowest values spread evenly over the four sectors
+    # (35 each of the lowest 140), so with no margin at m = 140 no sector
+    # is short; a negative margin leaves all four short of m together, and
+    # at m = 200 two sectors hold 51 and 49 of the lowest
+    grid = BoxGrid((-6.0, -6.0), (6.0, 6.0), (45, 45))
+    A = assemble_twisted(1.0, grid)
+    dense_vals, _ = lowest_eigenvalues(A, m)
+    asked = []
+    eigh = spectral.scipy.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        asked.append(kwargs["subset_by_index"][1] + 1)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.scipy.linalg, "eigh", spy)
+    monkeypatch.setattr(spectral, "_SECTOR_MARGIN", margin)
+    sector_vals, _ = lowest_eigenvalues(A, m, dense_cutoff=10)
+    assert asked[:4] == [-(-m // 4) + margin] * 4
+    assert len(asked) > 4 and set(asked[4:]) == {m}
+    np.testing.assert_allclose(sector_vals, dense_vals, rtol=0, atol=1e-12)
+
+
 def test_large_m_takes_the_sector_dense_path(monkeypatch):
     def no_block(*args, **kwargs):
         raise AssertionError("large m must not take the block path")

@@ -11,7 +11,8 @@ The package is organised around five layers:
 * ``spectral``     -- assembled twisted operators, Landau-ladder fits, eigenfunction
                       residuals, convention adjudication, and Weyl sequence probes;
 * ``variational``  -- the Kirchhoff-type energy, its exact discrete gradient, grid
-                      Folland-Stein constants, and a path-deformation mountain-pass solver.
+                      Folland-Stein constants, and a mountain-pass solver that descends
+                      on the ray-peak (Nehari) set.
 
 ``cli`` wires the layers into reproducible experiment campaigns.
 """

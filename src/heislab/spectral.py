@@ -15,10 +15,11 @@ What lives here:
   sub-Laplacian stencil are what matter;
 * a lowest-eigenvalue driver that returns the m smallest eigenvalues
   counting multiplicity: dense below a size cutoff; above it per real
-  rotation sector for the symmetric twisted operator, each sector dense for
-  many pairs and by shift-invert block iteration for few; by the block
-  iteration on the whole operator otherwise.  Every result above the cutoff
-  is certified by Sylvester inertia;
+  rotation sector for the symmetric twisted operator, each sector by
+  shift-invert block Krylov for many pairs and by shift-invert block
+  iteration for few; by the block iteration on the whole operator
+  otherwise.  Every result above the cutoff is certified by Sylvester
+  inertia;
 * Landau-ladder structure detection: eigenvalue clustering, population
   filtering (Dirichlet edge states sprinkle small clusters into the spectral
   gaps), and the least-squares ladder constant ``kappa0`` in
@@ -379,21 +380,29 @@ def _gershgorin_floor(A: sp.spmatrix) -> float:
     return float(np.min(diag.real - radius))
 
 
-# A rotation sector of dimension n_q is solved by the shift-invert block
-# iteration when BLOCK_RATIO * m <= n_q and by a dense eigh otherwise.  At
-# 129^2 (n_q = 4160, tau = 1) the block iteration wins at m = 130 and at
-# m = 260, where the wanted values span two Landau levels, and loses at
-# m = 490; the ratio dates from when it still lost at m = 260.
-BLOCK_RATIO = 32
+# Rotation sectors go to block Krylov when m >= KRYLOV_MIN_M and to the
+# block iteration otherwise.  At 129^2 (n_q = 4160; 2 cores, best of two)
+# block / Krylov take, in seconds:
+#   m          60           100          130          195          260
+#   tau = 1    1.44 / 1.03  1.50 / 1.02  1.67 / 0.99  7.74 / 1.95  7.38 / 1.98
+#   tau = 2    1.34 / 1.57  1.53 / 1.27  1.47 / 1.43  1.98 / 2.02  2.79 / 2.30
+# (tau = 0.5: 1.31 / 0.68 at m = 60, 3.48 / 0.91 at m = 130).  Both costs
+# grow with n_q alike, so the crossover is a count of pairs, not a share
+# of n_q: at 257^2, tau = 1, m = 490 the block iteration takes 141 s and
+# Krylov 16 s.  m = 60, the landau-ground workload, stays on the blocks.
+KRYLOV_MIN_M = 100
 _RATE = 0.3
 _BAND = 0.01
 _MAX_ITER = 100
 # A first Cholesky-QR pass is refused when a column keeps less than this
 # fraction of its norm off the span of the columns before it.
 _QR_LIMIT = 1e-6
-# The sector-dense path asks each sector for ceil(m / 4) + _SECTOR_MARGIN pairs.
-_SECTOR_MARGIN = 16
-# The residual check forms A v - v lambda this many columns at a time.
+# The Krylov solve runs Rayleigh-Ritz every _RR_EVERY steps; its blocks are
+# _PROBE_WIDTH wide until the first one sizes them by inertia.
+_RR_EVERY = 4
+_PROBE_WIDTH = 8
+# The residual check forms A v - v lambda, and the sector merge U y, this
+# many columns at a time.
 _RESIDUAL_COLUMNS = 64
 
 
@@ -576,34 +585,164 @@ def _shift_invert_pairs(blocks, m: int, floor: float, residual_bound: float, see
     )
 
 
-def _sector_dense_pairs(blocks, m: int):
-    """Lowest eigenpairs of each sector block by dense eigh, enough for the merged m.
+class _Basis:
+    """One growing Fortran-ordered work array for the Krylov bases of every sector.
 
-    Each sector is asked for ``ceil(m / 4) + _SECTOR_MARGIN`` pairs, about
-    its share of the m lowest.  A sector whose values all land inside the
-    merged m lowest may hold more below the merged m-th value cut; its
-    inertia below cut decides, and the sector is solved again for m pairs
-    when the count exceeds the values it returned below cut (or when the
-    sectors returned fewer than m values together).
+    ``view(n, cols, keep)`` returns an n x cols view of the array's prefix
+    that keeps the first ``keep`` columns of the last view with n rows: they
+    are the same leading ``n * keep`` entries, so growing copies only those.
     """
 
-    def lowest(S, k):
-        k = min(k, S.shape[0])
-        return scipy.linalg.eigh(
-            S.toarray(order="F"), subset_by_index=[0, k - 1], overwrite_a=True
-        )
+    def __init__(self):
+        self.flat = np.empty(0)
 
-    parts = [lowest(S, -(-m // len(blocks)) + _SECTOR_MARGIN) for S in blocks]
-    merged = np.sort(np.concatenate([w for w, _ in parts]))
-    for b, S in enumerate(blocks):
-        w = parts[b][0]
-        if w.size == min(m, S.shape[0]):
-            continue
-        if merged.size < m or (
-            w[-1] <= merged[m - 1]
-            and _count_below(S, merged[m - 1]) > np.count_nonzero(w < merged[m - 1])
-        ):
-            parts[b] = lowest(S, m)
+    def view(self, n: int, cols: int, keep: int = 0) -> np.ndarray:
+        if n * cols > self.flat.size:
+            grown = np.empty(n * cols)
+            grown[: n * keep] = self.flat[: n * keep]
+            self.flat = grown
+        return self.flat[: n * cols].reshape((n, cols), order="F")
+
+
+def _krylov(S, want: int, floor: float, residual_bound: float, rng, basis: _Basis,
+            where: str, locked: np.ndarray | None = None, width: int = 0):
+    """Lowest ``want`` eigenpairs of a real symmetric sector S by shift-invert block Krylov.
+
+    The basis V starts with the ``locked`` columns, if any, and a random
+    block.  Each step solves the newest block with a symmetric-mode sparse LU
+    of ``S - sigma I``, reorthogonalizes it twice against all of V,
+    orthonormalizes it (``_orthonormalize``) and appends it; the projection
+    ``V^T S V`` grows by its block column.  A solved column that already lay
+    in V leaves rounding noise, which the second pass turns into a new
+    direction, so V keeps growing up to the dimension of S, where
+    Rayleigh-Ritz is exact.  Rayleigh-Ritz runs every ``_RR_EVERY`` steps,
+    sooner when the residual's rate since the last one predicts convergence,
+    and the solve stops when each of the ``want`` lowest Ritz pairs meets
+    ``residual_bound``.  Blocks are ``width`` wide, and sigma is ``floor``.
+    With width 0 the blocks start ``_PROBE_WIDTH`` wide, and the first
+    Rayleigh-Ritz widens them to S's inertia count below
+    ``theta_1 + _BAND |theta_1|``, the multiplicity of the lowest cluster
+    (a block narrower than a level misses copies of it); sigma then moves up
+    to theta_1 minus its residual when the inertia there shows no
+    eigenvalue below.  Each factor is freed before the next is made: two
+    SuperLU factors alive at once double its heap.  Returns the Ritz
+    values, the Ritz vectors and the block width.
+    """
+    n = S.shape[0]
+    gemm = scipy.linalg.blas.get_blas_funcs("gemm", (np.empty(0),))
+    syevr = scipy.linalg.lapack.get_lapack_funcs("syevr", (np.empty(0),))
+    lu = _shifted_lu(S, floor)[0]
+    V = basis.view(n, 0)
+    columns = []  # block columns of V^T S V down to the diagonal, one per block of V
+    k = last = 0
+
+    def append(Y):
+        nonlocal V, k, last
+        last = Y.shape[1]
+        if k + last > V.shape[1]:
+            V = basis.view(n, min(n, max(2 * V.shape[1], k + last)), keep=k)
+        for _ in range(2 if k else 0):
+            C = gemm(1.0, V[:, :k], Y, trans_a=2)
+            gemm(-1.0, V[:, :k], C, beta=1.0, c=Y, overwrite_c=True)
+        _orthonormalize(Y)
+        V[:, k:k + last] = Y
+        columns.append(gemm(1.0, V[:, :k + last], S @ Y, trans_a=2))
+        k += last
+
+    def projection():
+        # the upper triangle of V^T S V, which is all that syevr reads
+        H = np.empty((k, k), order="F")
+        j = 0
+        for col in columns:
+            H[: col.shape[0], j:j + col.shape[1]] = col
+            j += col.shape[1]
+        return H
+
+    if locked is not None:
+        append(np.array(locked, order="F"))
+    sized = width > 0
+    width = min(width or _PROBE_WIDTH, n - k)
+    append(np.asfortranarray(rng.standard_normal((n, width))))
+    next_rr, last_rr = _RR_EVERY, None
+    for step in range(_MAX_ITER + 1):
+        if k == n or step == _MAX_ITER or (step >= next_rr and (k >= want or not sized)):
+            top = min(want, k)
+            theta, Y, _, _, info = syevr(projection(), range="I", il=1, iu=top, overwrite_a=True)
+            if info:
+                raise EigensolverError(f"Rayleigh-Ritz eigensolve failed (LAPACK info {info})")
+            theta = theta[:top]
+            X = gemm(1.0, V[:, :k], Y)
+            R = S @ X
+            R -= X * theta
+            res = _column_norms(R)
+            worst = res.max()
+            if top == want and worst <= residual_bound:
+                return theta, X, width
+            next_rr = step + _RR_EVERY
+            if top == want:
+                # sooner when the residual's rate since the last one says so
+                if last_rr and worst < last_rr[1]:
+                    rate = math.log(worst / last_rr[1]) / (step - last_rr[0])
+                    next_rr = step + min(_RR_EVERY, max(1, math.ceil(math.log(residual_bound / worst) / rate)))
+                last_rr = step, worst
+            if not sized:
+                del lu
+                count = _count_below(S, theta[0] + _BAND * abs(theta[0]))
+                width, sized = max(width, count), True
+                lu, below = _shifted_lu(S, max(theta[0] - max(res[0], residual_bound), floor))
+                if below:
+                    del lu
+                    lu = _shifted_lu(S, floor)[0]
+        if k == n or step == _MAX_ITER:
+            break
+        Y = np.empty((n, min(width, n - k)), order="F")
+        solved = lu.solve(V[:, k - last:k])[:, : Y.shape[1]]
+        Y[:, : solved.shape[1]] = solved
+        Y[:, solved.shape[1]:] = rng.standard_normal((n, Y.shape[1] - solved.shape[1]))
+        append(Y)
+    raise EigensolverError(
+        f"Krylov solve in {where} did not converge in {_MAX_ITER} steps: "
+        f"worst residual {worst:.3e} exceeds {residual_bound:.1e}"
+    )
+
+
+def _krylov_pairs(blocks, m: int, floor: float, residual_bound: float, seed: int):
+    """Lowest eigenpairs of each sector block by ``_krylov``, enough for the merged m.
+
+    The sectors are solved one after another in one work array, each for
+    ``ceil(m / len(blocks))`` pairs, about its share of the m lowest.  Then
+    each sector's inertia below ``cut = theta_m - residual_bound`` (theta_m
+    the merged m-th value) is compared with its values below cut.  A sector
+    that holds more, because its share was short or its blocks missed copies
+    of a level, is solved again for that count, with its pairs locked into
+    the basis and fresh random columns beside them, until its values below
+    cut match the count.
+    """
+    rng = np.random.default_rng(seed)
+    basis = _Basis()
+
+    def solve(q, want, **kwargs):
+        w, X, width = _krylov(blocks[q], want, floor, residual_bound, rng, basis,
+                              f"sector {q}", **kwargs)
+        # copied once the solve's LU and temporaries are freed, the pairs sit
+        # low in the heap, and the heap above them can be handed back
+        return w, X.copy(order="F"), width
+
+    want = -(-m // len(blocks))
+    parts = [solve(q, min(want, S.shape[0])) for q, S in enumerate(blocks)]
+    for q, S in enumerate(blocks):
+        # an extension only lowers the cut, below which earlier sectors stay complete
+        cut = np.sort(np.concatenate([part[0] for part in parts]))[m - 1] - residual_bound
+        w, X, width = parts[q]
+        count = _count_below(S, cut)
+        while (have := np.count_nonzero(w < cut)) < count:
+            w, X, width = solve(q, count, locked=X, width=width)
+            if np.count_nonzero(w < cut) <= have:
+                raise EigensolverError(
+                    f"Krylov solve in sector {q} found {have} of the sector's "
+                    f"{count} eigenvalues below {cut:.10g}"
+                )
+        parts[q] = w, X
     return parts
 
 
@@ -614,18 +753,18 @@ def _lowest_pairs(A: sp.csr_matrix, m: int, residual_bound: float, seed: int):
         vals, vecs = _shift_invert_pairs([A], m, _gershgorin_floor(A), residual_bound, seed)[0]
         return vals[:m], vecs[:, :m]
     blocks = [(U.conj().T @ (A @ U)).real for U in bases]
-    if BLOCK_RATIO * m <= min(S.shape[0] for S in blocks):
-        parts = _shift_invert_pairs(blocks, m, _gershgorin_floor(A), residual_bound, seed)
-    else:
-        parts = _sector_dense_pairs(blocks, m)
+    solve = _krylov_pairs if m >= KRYLOV_MIN_M else _shift_invert_pairs
+    parts = solve(blocks, m, _gershgorin_floor(A), residual_bound, seed)
     vals = np.concatenate([w for w, _ in parts])
     owner = np.concatenate([np.full(w.size, b) for b, (w, _) in enumerate(parts)])
     local = np.concatenate([np.arange(w.size) for w, _ in parts])
     order = np.argsort(vals, kind="stable")[:m]
     vecs = np.empty((A.shape[0], m), dtype=np.complex128)
     for b, (U, (_, y)) in enumerate(zip(bases, parts)):
-        take = owner[order] == b
-        vecs[:, take] = U @ y[:, local[order[take]]]
+        take = np.flatnonzero(owner[order] == b)
+        for j in range(0, take.size, _RESIDUAL_COLUMNS):
+            cols = take[j:j + _RESIDUAL_COLUMNS]
+            vecs[:, cols] = U @ y[:, local[order[cols]]]
     return vals[order], vecs
 
 
@@ -644,17 +783,19 @@ def lowest_eigenvalues(
     Paths: a dense solve at dimension ``<= dense_cutoff`` (also the oracle
     path).  Above it, an operator on an n x n grid that has the exact
     rotation and flip symmetries of ``_rotation_sectors`` is split into its
-    four real rotation sectors, each reduced by a dense ``eigh`` when
-    ``BLOCK_RATIO * m`` exceeds the sector dimension; that ``eigh`` asks for
-    about a quarter of m vectors per sector and redoes a sector with m when
-    its inertia shows more below the merged cut (``_sector_dense_pairs``).
-    Otherwise the
+    four real rotation sectors.  For ``m >= KRYLOV_MIN_M`` each sector in
+    turn goes to a shift-invert block Krylov solve (``_krylov_pairs``): a
+    sparse LU below the sector's spectrum, a basis grown by solved blocks as
+    wide as the sector's lowest cluster, and Rayleigh-Ritz on the projected
+    sector until its share of pairs converges; a sector whose inertia below
+    the merged cut exceeds its values there is solved again with its pairs
+    locked in.  Otherwise the
     sectors, and any operator without the symmetry as one block, go to a
     shift-invert block iteration (``_shift_invert_pairs``): sparse LU solves
     about a shift certified by inertia to lie below the block's spectrum,
-    with a block sized by inertia so that every wanted pair converges, and
-    a start block drawn from ``seed``.  The iteration stops when every pair
-    of the merged m lowest meets ``residual_bound``.
+    with a block sized by inertia so that every wanted pair converges,
+    until every pair of the merged m lowest meets ``residual_bound``.  Both
+    iterative paths draw their random columns from ``seed``.
 
     Every returned pair is residual-checked, ``_RESIDUAL_COLUMNS`` columns
     at a time: ||A v - lambda v|| / ||v|| <= residual_bound.  Every result
@@ -663,8 +804,8 @@ def lowest_eigenvalues(
     number of returned values below it.
 
     Raises ``ValueError`` unless 0 < m < dim, and ``EigensolverError`` when
-    the block iteration does not converge, a pair misses the residual
-    bound, or the inertia certificate fails.
+    the block iteration or a sector's Krylov solve does not converge, a pair
+    misses the residual bound, or the inertia certificate fails.
     """
     A = op if sp.issparse(op) else sp.csr_matrix(op)
     dim = A.shape[0]

@@ -393,6 +393,11 @@ def hw_norm(u: ScalarField, problem: KirchhoffProblem) -> float:
     return float((s + pot) ** (1.0 / problem.p))
 
 
+# Newton steps on phi' per ray peak, at most; bisection alone needs about 53
+# to shrink [1/2, 2] to an ulp.
+_NEWTON_STEPS = 64
+
+
 @dataclass(frozen=True)
 class _RayProfile:
     """phi(t) = J(t w) = Mprim(t^p T)/p - lambda F t^{r_g} - C t^{p*}/p*, t > 0.
@@ -405,6 +410,18 @@ class _RayProfile:
     T: float
     F: float
     C: float
+
+    def __post_init__(self) -> None:
+        # phi'(t) = sum of c t^e over these (c, e): M(s) = M(0) + c1 s^(kappa - 1)
+        pr, K = self.problem, self.problem.kirchhoff
+        r = pr.nonlinearity.r_g
+        m0, c1 = (K.m0, K.b) if K.kind == "nondegenerate" else (0.0, K.m1)
+        object.__setattr__(self, "_terms", (
+            (m0 * self.T, pr.p - 1.0),
+            (c1 * self.T ** K.kappa, pr.p * K.kappa - 1.0),
+            (-pr.lam * r * self.F, r - 1.0),
+            (-self.C, pr.p_star - 1.0),
+        ))
 
     @classmethod
     def of(cls, u: ScalarField, problem: KirchhoffProblem, a) -> "_RayProfile":
@@ -420,14 +437,43 @@ class _RayProfile:
         return term_m - pr.lam * self.F * t ** r - self.C * t ** ps / ps
 
     def slope(self, t: float) -> float:
-        pr, r, ps = self.problem, self.problem.nonlinearity.r_g, self.problem.p_star
-        term_m = pr.kirchhoff.m(t ** pr.p * self.T) * self.T * t ** (pr.p - 1.0)
-        return term_m - pr.lam * r * self.F * t ** (r - 1.0) - self.C * t ** (ps - 1.0)
+        return sum(c * t ** e for c, e in self._terms)
+
+    def _curvature(self, t: float) -> float:
+        return sum(c * e * t ** (e - 1.0) for c, e in self._terms)
 
     def peak(self) -> tuple[float, float]:
-        """(t*, phi(t*)) at the maximum of phi over t > 0: the largest of 25
-        geometric samples on [1/8, 8] (moved 256-fold toward an edge maximum)
-        brackets a sign change of phi', bisected in log t to double precision."""
+        """(t*, phi(t*)) at the maximum of phi over t > 0.
+
+        When phi' changes sign on [1/2, 2], as it does after an accepted
+        descent step, whose peak sits near t = 1, safeguarded Newton steps on
+        phi' from t = 1 find the root: a step that leaves the sign-checked
+        bracket, or fails to halve the previous one, bisects the bracket
+        instead.  Otherwise the largest of 25 geometric samples on [1/8, 8]
+        (moved 256-fold toward an edge maximum) brackets a sign change of
+        phi', bisected in log t to double precision.
+        """
+        eps = np.finfo(float).eps
+        lo, hi = 0.5, 2.0
+        if self.slope(lo) > 0.0 > self.slope(hi):
+            t, last = 1.0, hi - lo
+            for _ in range(_NEWTON_STEPS):
+                d = self.slope(t)
+                if d == 0.0:
+                    break
+                if d > 0.0:
+                    lo = t
+                else:
+                    hi = t
+                step = d / self._curvature(t)
+                # a step below the resolution of t has converged; it may
+                # round onto the bracket's end
+                if abs(step) > 2.0 * eps * t and not (lo < t - step < hi and abs(2.0 * step) <= last):
+                    step = t - 0.5 * (lo + hi)
+                t, last = t - step, abs(step)
+                if last <= 2.0 * eps * t:
+                    break
+            return t, self.value(t)
         lo, hi, bracket = 0.125, 8.0, None
         for _ in range(60):
             ts = [float(t) for t in np.geomspace(lo, hi, 25)]
@@ -446,7 +492,7 @@ class _RayProfile:
             raise RuntimeError(f"no interior ray peak (T = {self.T:.6g}, F = {self.F:.6g}, "
                                f"C = {self.C:.6g}; last window [{lo:.3g}, {hi:.3g}])")
         a, b = math.log(bracket[0]), math.log(bracket[1])
-        mid, eps = 0.5 * (a + b), np.finfo(float).eps
+        mid = 0.5 * (a + b)
         while b - a > eps and a < mid < b:
             if self.slope(math.exp(mid)) > 0.0:
                 a = mid

@@ -235,8 +235,15 @@ def _count_dense_eigh(monkeypatch) -> list:
     return calls
 
 
+def _dense_sector_values(A, m):
+    """The m lowest eigenvalues of A from the dense path on each rotation sector."""
+    blocks = [(U.conj().T @ (A @ U)).real.toarray() for U in _rotation_sectors(A)]
+    return np.sort(np.concatenate([lowest_eigenvalues(S, m)[0] for S in blocks]))[:m]
+
+
 @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
 def test_block_path_matches_sector_dense_path(monkeypatch, tau):
+    # the oracle is the dense path on each rotation sector
     # 65^2 on [-8, 8]^2 at m = 30 takes the block path; at tau = 2 each
     # sector's lowest level has about 65 members, its 38th within 6e-5 of
     # its lowest, so a fixed block of m + m/4 = 38 columns would end inside it
@@ -245,10 +252,7 @@ def test_block_path_matches_sector_dense_path(monkeypatch, tau):
     calls = _count_dense_eigh(monkeypatch)
     block_vals, vecs = lowest_eigenvalues(A, 30)
     assert calls == []
-    monkeypatch.setattr(spectral, "BLOCK_RATIO", A.shape[0])
-    dense_vals, _ = lowest_eigenvalues(A, 30)
-    assert len(calls) == 4
-    np.testing.assert_allclose(block_vals, dense_vals, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(block_vals, _dense_sector_values(A, 30), rtol=0, atol=1e-12)
     assert vecs.shape == (grid.node_count, 30)
 
 
@@ -362,56 +366,121 @@ def test_orthonormalize_falls_back_to_householder_on_a_zero_column(monkeypatch):
     assert np.linalg.norm(Q.T @ Q - np.eye(20), 2) <= 1e-13
 
 
-@pytest.mark.parametrize("m, margin", [(140, -10), (200, 0)])
-def test_sector_dense_path_redoes_a_sector_that_may_hold_more(monkeypatch, m, margin):
-    # 45^2, tau = 1: the lowest values spread evenly over the four sectors
-    # (35 each of the lowest 140), so with no margin at m = 140 no sector
-    # is short; a negative margin leaves all four short of m together, and
-    # at m = 200 two sectors hold 51 and 49 of the lowest
+def _spy_krylov(monkeypatch, drop=None):
+    """Record (sector dimension, wanted pairs, whether pairs were locked) per
+    Krylov solve; with ``drop``, sector 0's first solve finds one pair more
+    and leaves that one out."""
+    solves = []
+    krylov = spectral._krylov
+
+    def spy(S, want, *args, locked=None, **kwargs):
+        solves.append((S.shape[0], want, locked is not None))
+        if drop is None or len(solves) > 1:
+            return krylov(S, want, *args, locked=locked, **kwargs)
+        w, X, width = krylov(S, want + 1, *args, locked=locked, **kwargs)
+        keep = np.arange(w.size) != drop
+        return w[keep], X[:, keep], width
+
+    monkeypatch.setattr(spectral, "_krylov", spy)
+    return solves
+
+
+@pytest.mark.parametrize("m, drop", [(200, None), (140, 1)])
+def test_krylov_path_extends_a_sector_short_of_its_count(monkeypatch, m, drop):
+    # 45^2, tau = 1: at m = 200 two sectors hold 51 and 49 of the lowest, so
+    # a share of 50 pairs leaves one sector short; at m = 140 (35 per
+    # sector) sector 0's first result loses a copy of its lowest level
     grid = BoxGrid((-6.0, -6.0), (6.0, 6.0), (45, 45))
     A = assemble_twisted(1.0, grid)
     dense_vals, _ = lowest_eigenvalues(A, m)
-    asked = []
-    eigh = spectral.scipy.linalg.eigh
-
-    def spy(a, *args, **kwargs):
-        asked.append(kwargs["subset_by_index"][1] + 1)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(spectral.scipy.linalg, "eigh", spy)
-    monkeypatch.setattr(spectral, "_SECTOR_MARGIN", margin)
-    sector_vals, _ = lowest_eigenvalues(A, m, dense_cutoff=10)
-    assert asked[:4] == [-(-m // 4) + margin] * 4
-    assert len(asked) > 4 and set(asked[4:]) == {m}
-    np.testing.assert_allclose(sector_vals, dense_vals, rtol=0, atol=1e-12)
+    solves = _spy_krylov(monkeypatch, drop)
+    krylov_vals, _ = lowest_eigenvalues(A, m, dense_cutoff=10)
+    assert [(n, want) for n, want, _ in solves[:4]] == [(n, m // 4) for n in (507, 506, 506, 506)]
+    extended = solves[4:]
+    assert extended and all(locked for _, _, locked in extended)
+    if drop is not None:
+        assert extended == [(507, 35, True)]
+    np.testing.assert_allclose(krylov_vals, dense_vals, rtol=0, atol=1e-12)
 
 
-def test_large_m_takes_the_sector_dense_path(monkeypatch):
+def test_krylov_basis_grows_past_an_invariant_subspace():
+    # two distinct eigenvalues: the first solve makes the basis invariant,
+    # so later solved blocks lie in it and the basis must still grow until
+    # it holds all 60 copies of the lowest value
+    S = sp.diags(np.repeat([1.0, 2.0], [60, 40])).tocsr()
+    w, X, width = spectral._krylov(
+        S, 70, 0.0, 1e-8, np.random.default_rng(0), spectral._Basis(), "sector 0"
+    )
+    assert width == 60  # the inertia count of the lowest cluster
+    np.testing.assert_allclose(w, np.repeat([1.0, 2.0], [60, 10]), rtol=0, atol=1e-12)
+    assert np.linalg.norm(X.T @ X - np.eye(70), 2) <= 1e-12
+
+
+def test_large_m_takes_the_krylov_path(monkeypatch):
     def no_block(*args, **kwargs):
         raise AssertionError("large m must not take the block path")
 
     monkeypatch.setattr(spectral, "_shift_invert_pairs", no_block)
     calls = _count_dense_eigh(monkeypatch)
+    solves = _spy_krylov(monkeypatch)
     grid = BoxGrid((-6.0, -6.0), (6.0, 6.0), (33, 33))
-    vals, _ = lowest_eigenvalues(assemble_twisted(1.0, grid), 30, dense_cutoff=10)
-    assert calls == [(273, 273), (272, 272), (272, 272), (272, 272)]
-    assert vals.size == 30
+    vals, _ = lowest_eigenvalues(assemble_twisted(1.0, grid), 100, dense_cutoff=10)
+    assert calls == []
+    assert solves[:4] == [(273, 25, False), (272, 25, False), (272, 25, False), (272, 25, False)]
+    assert vals.size == 100
+
+
+def test_krylov_result_missing_a_copy_fails_certificate(monkeypatch):
+    # 33^2, tau = 1: the lowest level has copies in every sector; a sector
+    # result without one of them must not pass the certificate
+    krylov_pairs = spectral._krylov_pairs
+
+    def short_pairs(blocks, m, *args):
+        parts = krylov_pairs(blocks, m + 4, *args)  # one pair more per sector
+        w, X = parts[0]
+        parts[0] = w[1:], X[:, 1:]
+        return parts
+
+    monkeypatch.setattr(spectral, "_krylov_pairs", short_pairs)
+    grid = BoxGrid((-6.0, -6.0), (6.0, 6.0), (33, 33))
+    with pytest.raises(EigensolverError, match="inertia certificate failed"):
+        lowest_eigenvalues(assemble_twisted(1.0, grid), 100, dense_cutoff=10)
+
+
+def test_krylov_non_convergence_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_ITER", 1)
+    grid = BoxGrid((-6.0, -6.0), (6.0, 6.0), (33, 33))
+    with pytest.raises(
+        EigensolverError,
+        match=r"Krylov solve in sector 0 did not converge in 1 steps: worst residual .* exceeds 1\.0e-08",
+    ):
+        lowest_eigenvalues(assemble_twisted(1.0, grid), 100, dense_cutoff=10)
+
+
+def _spectra_csv_bytes(tmp_path, params: dict, seed: int) -> list:
+    runs = []
+    for sub in ("a", "b"):
+        cfg = cli.resolve_config(
+            "spectra", {"params": params}, {"out": str(tmp_path / sub), "seed": seed}
+        )
+        cli.run(cfg)
+        runs.append(
+            [(tmp_path / sub / name).read_bytes() for name in ("eigenvalues.csv", "ladder.csv")]
+        )
+    return runs
 
 
 def test_spectra_campaign_block_path_reproducible_csv(tmp_path):
     # m = 30 at 65^2 takes the block path, whose start block is seeded
-    csv_bytes = []
-    for sub in ("a", "b"):
-        cfg = cli.resolve_config(
-            "spectra",
-            {"params": {"counts": 65, "m": 30, "levels": 1, "tau": 2.0}},
-            {"out": str(tmp_path / sub), "seed": 7},
-        )
-        cli.run(cfg)
-        csv_bytes.append(
-            [(tmp_path / sub / name).read_bytes() for name in ("eigenvalues.csv", "ladder.csv")]
-        )
-    assert csv_bytes[0] == csv_bytes[1]
+    runs = _spectra_csv_bytes(tmp_path, {"counts": 65, "m": 30, "levels": 1, "tau": 2.0}, 7)
+    assert runs[0] == runs[1]
+
+
+def test_spectra_campaign_krylov_path_reproducible_csv(tmp_path, monkeypatch):
+    # m = 130 at 65^2 takes the Krylov path, whose random columns are seeded
+    solves = _spy_krylov(monkeypatch)
+    runs = _spectra_csv_bytes(tmp_path, {"counts": 65, "m": 130, "levels": 1, "tau": 2.0}, 7)
+    assert solves and runs[0] == runs[1]
 
 
 def test_eigensolver_validation():

@@ -196,13 +196,16 @@ def _t_diff(u, conv: FieldConvention):
     return first_diff(u.values, tax, u.grid.spacing[tax])
 
 
-def _first_order(u, axis: int, coeff_axis: int, coeff: float, conv: FieldConvention, dt=None):
-    """D_axis u + coeff * coord_{coeff_axis} * D_t u; ``dt`` is D_t u if already in hand."""
+def _first_order(u, axis: int, coeff_axis: int, coeff: float, conv: FieldConvention, dt=None,
+                 spend=False):
+    """D_axis u + coeff * coord_{coeff_axis} * D_t u; ``dt`` is D_t u if already in hand
+    (one made here, or handed over with ``spend``, is scaled in place)."""
     if isinstance(u, PolyField):
         return u.diff(axis) + coeff * PolyField.variable(coeff_axis, u.nvars) * _t_diff(u, conv)
+    spend = spend or dt is None
     dt = _t_diff(u, conv) if dt is None else dt
     vals = first_diff(u.values, axis, u.grid.spacing[axis])
-    vals += _coeff_mesh(u.grid, coeff_axis, coeff) * dt
+    vals += np.multiply(_coeff_mesh(u.grid, coeff_axis, coeff), dt, out=dt if spend else None)
     return u._new(vals)
 
 
@@ -248,7 +251,8 @@ def horizontal_gradient(u, conv: FieldConvention = HN):
     pairs = [conv.pair(j, n) for j in range(n)]
     dt = None if isinstance(u, PolyField) else _t_diff(u, conv)
     comps = [_first_order(u, a, b, 2.0 * sx, conv, dt) for a, b, sx, _ in pairs]
-    comps += [_first_order(u, b, a, 2.0 * sy, conv, dt) for a, b, _, sy in pairs]
+    comps += [_first_order(u, b, a, 2.0 * sy, conv, dt, spend=j == n - 1)
+              for j, (a, b, _, sy) in enumerate(pairs)]
     return tuple(comps) if isinstance(u, PolyField) else HorizontalVectorField(tuple(comps))
 
 

@@ -577,16 +577,20 @@ def folland_stein_constant(
     """Minimize ||D_H u||_p^p / ||u||_{p*}^p over ring-zero grid fields.
 
     Normalized projected gradient descent from a randomized bump; the history
-    is a monotone-descent certificate.  The value bounds the grid infimum from
-    above, but it is no bound on the continuum best constant in either
-    direction: the central differences under-measure grid-scale oscillation,
-    so on a coarse grid the descent falls below the continuum value (which is
-    2 pi at p = 2 on H^1: the 17^3 cube of half-width 4 reads 2.44 after 1,500
-    iterations), while the fixed budget biases it upward.  The descent stops
-    after ``iters`` steps, not at convergence, and the quotient is usually
-    still falling there (65^3 cube of half-width 4, p = 2, seed 0: 12.84 after
-    200 iterations, 10.06 after 400); at p = 2 :func:`mp_threshold` grows as
-    its square.
+    is a monotone-descent certificate.  A trial u - s g of the halving and
+    doubling line search is scored unnormalized; at p = 2 its numerator is the
+    quadratic ||D_H u||^2 - 2 s <-div_H D_H u, g> + s^2 ||D_H g||^2 (the
+    divergence is the exact adjoint), so D_H is evaluated on u and g only.
+
+    The value bounds the grid infimum from above, but it is no bound on the
+    continuum best constant in either direction: the central differences
+    under-measure grid-scale oscillation, so on a coarse grid the descent
+    falls below the continuum value (which is 2 pi at p = 2 on H^1: the 17^3
+    cube of half-width 4 reads 2.44 after 1,500 iterations), while the fixed
+    budget biases it upward.  The descent stops after ``iters`` steps, not at
+    convergence, and the quotient is usually still falling there (65^3 cube
+    of half-width 4, p = 2, seed 0: 12.84 after 200 iterations, 10.06 after
+    400); at p = 2 :func:`mp_threshold` grows as its square.
     """
     n = conv.n_of(grid.ndim)
     Q = 2 * n + 2
@@ -596,62 +600,86 @@ def folland_stein_constant(
     w = grid.cell_volume
     mask = _boundary_mask(grid.counts)
 
-    def abs_pow(vals: np.ndarray, e: float) -> np.ndarray:
-        out = np.abs(vals)
-        out **= e
-        return out
+    def dot(a: np.ndarray, b: np.ndarray) -> float:  # np.dot would wake the BLAS threads
+        return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
-    def quotient_parts(vals: np.ndarray):
-        """(numerator, denominator, D_H u) of the quotient at u = vals."""
+    def lp_star(vals: np.ndarray) -> float:
+        """w * sum |vals|^{p*}, in one pass that overwrites vals."""
+        if p_star == 4.0:
+            vals *= vals
+            return dot(vals, vals) * w
+        np.abs(vals, out=vals)
+        vals **= p_star
+        return float(np.sum(vals) * w)
+
+    def numerator(vals: np.ndarray):
+        """(w * sum |D_H vals|^p, D_H vals)."""
         grad = horizontal_gradient(ScalarField(grid, vals), conv)
-        norm2 = np.zeros(grid.counts)
-        for c in grad.components:
-            norm2 += c.values * c.values
-        norm2 **= p / 2.0
-        num = float(np.sum(norm2) * w)
-        den = float(np.sum(abs_pow(vals, p_star)) * w) ** (p / p_star)
-        return num, den, grad
+        if p == 2:
+            return sum(dot(c.values, c.values) for c in grad.components) * w, grad
+        norm2 = sum(c.values * c.values for c in grad.components)
+        return float(np.sum(norm2 ** (p / 2.0)) * w), grad
 
     u = random_dirichlet_field(grid, seed=seed, bumps=2).values
-    u = u / float(np.sum(np.abs(u) ** p_star) * w) ** (1.0 / p_star)
-    num, den, grad = quotient_parts(u)
-    q = num / den
+    work = u.copy()  # scratch: |u|^{p*-1}, then the trials; after a step, the old g
+    u /= lp_star(work) ** (1.0 / p_star)
+    num, grad = numerator(u)
+    np.copyto(work, u)
+    q = num / lp_star(work) ** (p / p_star)
     history = [q]
     step = 0.5
     stagnated = False
-    it = 0
-    for it in range(1, iters + 1):
-        # grad is D_H u of the accepted u; it is dropped before each trial
-        ap = -_p_flux_divergence(grad, p, conv).values
-        grad = None
+    for _ in range(iters):
+        if grad is None:  # p = 2: D_H of the accepted u, for A and the divergence
+            num, grad = numerator(u)
         # u is kept ||u||_{p*} = 1, so the quotient gradient reduces to
-        # g = p * (ap - q * sign(u) |u|^{p*-1}); in place, to allocate fewer
-        # full-size temporaries (the same operations in the same order)
-        g = abs_pow(u, p_star - 1.0)
-        g *= np.sign(u)
-        g *= q
-        np.subtract(ap, g, out=g)
-        g *= p
-        ap = None
+        # g = p * (ap - q * sign(u) |u|^{p*-1}) with ap = -div_H(|D_H u|^{p-2} D_H u)
+        g = _p_flux_divergence(grad, p, conv).values
+        grad = None
+        if p_star == 4.0:
+            np.multiply(u, u, out=work)
+            work *= u
+        else:
+            np.abs(u, out=work)
+            work **= p_star - 1.0
+            work *= np.sign(u)
+        work *= q
+        g += work
+        g *= -p
         g[mask] = 0.0
-        gn2 = float(np.sum(g * g) * w)
-        if gn2 == 0.0:
+        gg = dot(g, g)
+        if gg == 0.0:
             break
-        accepted = False
+        if p == 2:  # B = <D_H u, D_H g> = <ap, g>, and ap = g / p + work off the ring
+            B = (gg / p + dot(work, g)) * w
+            C = numerator(g)[0]
         while step > 1e-16:
-            trial = u - step * g
-            trial /= float(np.sum(abs_pow(trial, p_star)) * w) ** (1.0 / p_star)
-            grad = None
-            tn, td, grad = quotient_parts(trial)
-            tq = tn / td
+            np.multiply(g, -step, out=work)
+            work += u
+            if p == 2:
+                tn = num - 2.0 * step * B + step * step * C
+            else:
+                grad = None
+                tn, grad = numerator(work)
+            den = lp_star(work)
+            tq = tn / den ** (p / p_star)
             if tq < q - 1e-12 * (1.0 + abs(q)):
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             stagnated = True
             break
-        u, q = trial, tq
+        # u <- (u - step g) / ||u - step g||_{p*}; at p != 2 the trial's D_H
+        # scales with it and serves the next divergence
+        c = den ** (1.0 / p_star)
+        np.multiply(g, -step, out=work)
+        u += work
+        u /= c
+        if grad is not None:
+            for comp in grad.components:
+                np.divide(comp.values, c, out=comp.values)
+        work = g
+        q = tq
         history.append(q)
         step = min(step * 2.0, 1e3)
     monotone = bool(np.all(np.diff(history) <= 1e-12 * (1.0 + np.abs(history[:-1]))))
@@ -661,7 +689,7 @@ def folland_stein_constant(
         history=[float(v) for v in history],
         monotone=monotone,
         stagnated=stagnated,
-        iterations=it,
+        iterations=len(history) - 1,
         p=p,
         p_star=p_star,
     )

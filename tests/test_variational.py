@@ -304,11 +304,63 @@ def test_folland_stein_monotone_and_deterministic():
     assert d["monotone"] is True
 
 
+def _stencil_quotient(vals, grid, p):
+    """||D_H u||_p^p / ||u||_{p*}^p of the field u = vals, by the gradient stencil."""
+    p_star = 4.0 * p / (4.0 - p)
+    w = grid.cell_volume
+    grad = horizontal_gradient(ScalarField(grid, vals))
+    norm2 = sum(c.values * c.values for c in grad.components)
+    return float(np.sum(norm2 ** (p / 2.0)) * w) / float(
+        np.sum(np.abs(vals) ** p_star) * w
+    ) ** (p / p_star)
+
+
+def _trial_by_stencil_search(grid, p, iters, seed):
+    """Reference Folland-Stein descent on H^1 that normalizes every line-search
+    trial and scores it by the gradient stencil: (history, D_H evaluations)."""
+    p_star = 4.0 * p / (4.0 - p)
+    w = grid.cell_volume
+    ring = np.ones(grid.counts, dtype=bool)
+    ring[1:-1, 1:-1, 1:-1] = False
+    calls = 0
+
+    def unit(vals):
+        return vals / float(np.sum(np.abs(vals) ** p_star) * w) ** (1.0 / p_star)
+
+    def score(vals):
+        nonlocal calls
+        calls += 1
+        return _stencil_quotient(vals, grid, p)
+
+    u = unit(random_dirichlet_field(grid, seed=seed, bumps=2).values)
+    q = score(u)
+    history, step = [q], 0.5
+    for _ in range(iters):
+        ap = -operators.p_sublaplacian(ScalarField(grid, u), p).values
+        g = p * (ap - q * np.sign(u) * np.abs(u) ** (p_star - 1.0))
+        g[ring] = 0.0
+        if not np.any(g):
+            break
+        while step > 1e-16:
+            trial = unit(u - step * g)
+            tq = score(trial)
+            if tq < q - 1e-12 * (1.0 + abs(q)):
+                break
+            step *= 0.5
+        else:
+            break
+        u, q = trial, tq
+        history.append(q)
+        step = min(2.0 * step, 1e3)
+    return history, calls
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_descents_evaluate_each_horizontal_gradient_once(monkeypatch, p):
-    # `gradient` shares one D_H u between its norm and divergence terms; the
-    # Folland-Stein descent evaluates D_H once for the start field and once per
-    # line-search trial, reusing an accepted trial's D_H u for its next step.
+    # `gradient` shares one D_H u between its norm and divergence terms.  The
+    # Folland-Stein descent evaluates D_H once for the start field; at p = 2
+    # then once on g and once on the accepted u per iteration (the last
+    # iteration's u is never differentiated), at other p once per trial.
     seen = []
 
     def counting(u, *args, **kwargs):
@@ -328,24 +380,40 @@ def test_descents_evaluate_each_horizontal_gradient_once(monkeypatch, p):
     assert fs.iterations == 15 and not fs.stagnated
     # no field is evaluated twice
     assert len({v.tobytes() for v in seen}) == len(seen)
-    # replaying the acceptance rule on the evaluated fields gives the history:
-    # the first is the start field and every later one is a trial
-    w = grid.cell_volume
+    history, calls = _trial_by_stencil_search(grid, p, 15, seed=2)
+    assert len(history) == 16
+    assert len(seen) == (2 * fs.iterations if p == 2 else calls)
 
-    def quotient(vals):
-        grad = horizontal_gradient(ScalarField(grid, vals))
-        norm2 = sum(c.values * c.values for c in grad.components)
-        return float(np.sum(norm2 ** (p / 2.0)) * w) / float(
-            np.sum(np.abs(vals) ** fs.p_star) * w
-        ) ** (p / fs.p_star)
 
-    history = [quotient(seen[0])]
-    for vals in seen[1:]:
-        tq = quotient(vals)
-        if tq < history[-1] - 1e-12 * (1.0 + abs(history[-1])):
-            history.append(tq)
-    assert len(seen) >= 1 + fs.iterations
-    assert history == pytest.approx(fs.history, rel=1e-12)
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("count", [9, 13])
+def test_folland_stein_matches_trial_by_stencil_search(count, p):
+    grid = BoxGrid((-4.0,) * 3, (4.0,) * 3, (count,) * 3)
+    fs = folland_stein_constant(grid, p, iters=60, seed=5)
+    history, _ = _trial_by_stencil_search(grid, p, 60, seed=5)
+    assert len(fs.history) == len(history)
+    assert fs.history == pytest.approx(history, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("count,p", [(17, 2.0), (9, 3.0)])
+def test_folland_stein_value_is_the_quotient_of_its_minimizer(count, p):
+    grid = BoxGrid((-4.0,) * 3, (4.0,) * 3, (count,) * 3)
+    fs = folland_stein_constant(grid, p, iters=80, seed=1)
+    u = fs.minimizer.values
+    assert fs.iterations == 80 and not fs.stagnated
+    assert fs.value == pytest.approx(_stencil_quotient(u, grid, p), rel=1e-12, abs=0.0)
+    norm = float(np.sum(np.abs(u) ** fs.p_star) * grid.cell_volume) ** (1.0 / fs.p_star)
+    assert abs(norm - 1.0) <= 1e-13
+    assert np.all(u[variational._boundary_mask(grid.counts)] == 0.0)
+
+
+@pytest.mark.parametrize("count,iters,taken", [(3, 10, 0), (5, 3000, 124)])
+def test_folland_stein_iterations_count_accepted_steps(count, iters, taken):
+    # both grids stop early; the count is of steps taken, never of the one
+    # the line search gave up on
+    fs = folland_stein_constant(BoxGrid.cube(4.0, count, 3), 2.0, iters=iters)
+    assert fs.stagnated
+    assert fs.iterations == len(fs.history) - 1 == taken
 
 
 def test_folland_stein_exponent_window():

@@ -14,12 +14,10 @@ What lives here:
   polynomial dependence on tau and the exact match with the 3-d
   sub-Laplacian stencil are what matter;
 * a lowest-eigenvalue driver that returns the m smallest eigenvalues
-  counting multiplicity: dense below a size cutoff; above it per real
-  rotation sector for the symmetric twisted operator, each sector by
-  shift-invert block Krylov for many pairs and by shift-invert block
-  iteration for few; by the block iteration on the whole operator
-  otherwise.  Every result above the cutoff is certified by Sylvester
-  inertia;
+  counting multiplicity: dense below a size cutoff; above it by
+  shift-invert block Krylov, per real rotation sector for the symmetric
+  twisted operator and on the whole operator otherwise.  Every result above
+  the cutoff is certified by Sylvester inertia;
 * Landau-ladder structure detection: eigenvalue clustering, population
   filtering (Dirichlet edge states sprinkle small clusters into the spectral
   gaps), and the least-squares ladder constant ``kappa0`` in
@@ -380,18 +378,6 @@ def _gershgorin_floor(A: sp.spmatrix) -> float:
     return float(np.min(diag.real - radius))
 
 
-# Rotation sectors go to block Krylov when m >= KRYLOV_MIN_M and to the
-# block iteration otherwise.  At 129^2 (n_q = 4160; 2 cores, best of two)
-# block / Krylov take, in seconds:
-#   m          60           100          130          195          260
-#   tau = 1    1.44 / 1.03  1.50 / 1.02  1.67 / 0.99  7.74 / 1.95  7.38 / 1.98
-#   tau = 2    1.34 / 1.57  1.53 / 1.27  1.47 / 1.43  1.98 / 2.02  2.79 / 2.30
-# (tau = 0.5: 1.31 / 0.68 at m = 60, 3.48 / 0.91 at m = 130).  Both costs
-# grow with n_q alike, so the crossover is a count of pairs, not a share
-# of n_q: at 257^2, tau = 1, m = 490 the block iteration takes 141 s and
-# Krylov 16 s.  m = 60, the landau-ground workload, stays on the blocks.
-KRYLOV_MIN_M = 100
-_RATE = 0.3
 _BAND = 0.01
 _MAX_ITER = 100
 # A first Cholesky-QR pass is refused when a column keeps less than this
@@ -446,31 +432,6 @@ def _orthonormalize(Y: np.ndarray) -> np.ndarray:
     return Y
 
 
-def _ritz_step(B: sp.spmatrix, lu, X: np.ndarray):
-    """One shift-invert step on the Fortran-ordered block X, in place.
-
-    Solve, orthonormalize, Rayleigh-Ritz; X receives the Ritz vectors.
-    Returns the Ritz values and their residual norms.  The dense products
-    go through SciPy's BLAS and LAPACK, the library SuperLU calls: NumPy and
-    SciPy wheels each bundle an OpenBLAS with its own thread pool, and with
-    two threads, alternating between the two made a step about three times
-    slower.
-    """
-    Q = _orthonormalize(lu.solve(X))
-    BQ = B @ Q
-    gemm = scipy.linalg.blas.get_blas_funcs("gemm", (Q,))
-    evd = scipy.linalg.lapack.get_lapack_funcs(
-        "heevd" if Q.dtype.kind == "c" else "syevd", (Q,)
-    )
-    theta, S, info = evd(gemm(1.0, Q, BQ, trans_a=2), overwrite_a=True)
-    if info:
-        raise EigensolverError(f"Rayleigh-Ritz eigensolve failed (LAPACK info {info})")
-    gemm(1.0, Q, S, c=X, overwrite_c=True)  # X is Fortran-ordered: written in place
-    np.multiply(X, theta, out=Q)
-    R = gemm(1.0, BQ, S, beta=-1.0, c=Q, overwrite_c=True)  # B X - X theta
-    return theta, _column_norms(R)
-
-
 def _column_norms(V: np.ndarray) -> np.ndarray:
     """Euclidean norm of each column of V, without a temporary of V's size."""
     if V.dtype.kind != "c":
@@ -479,126 +440,20 @@ def _column_norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im))
 
 
-def _shift_invert_pairs(blocks, m: int, floor: float, residual_bound: float, seed: int):
-    """Lowest eigenpairs of Hermitian blocks, enough for their merged m smallest.
-
-    Block subspace iteration with Rayleigh-Ritz on ``(B - shift I)^{-1}`` per
-    block, from ``ceil(m / len(blocks))`` seeded random columns per block.
-    Each step orthonormalizes the solved block by Cholesky-QR run twice, or
-    by shifted Cholesky-QR3 when its columns are nearly dependent (new
-    random columns after a close shift), with Householder QR as the last
-    resort (``_orthonormalize``).  Every shift starts at ``floor``, a lower
-    bound on every eigenvalue.  After each iteration a block's shift moves
-    up to its lowest Ritz value minus that pair's residual (an eigenvalue
-    lies within the residual, and the shift stays at least
-    ``residual_bound`` below it) when that cuts the distance to the Ritz
-    value by 4 or more; a new shift is kept only if its factor's inertia
-    shows no eigenvalue below it, and the factor it replaces is freed
-    before the next factorization.  Each block is then resized, by at most
-    a doubling, to its inertia count below
-    ``edge = max(shift + (cut - shift) / _RATE, cut + _BAND |cut|)``, where
-    cut is the merged m-th Ritz value (an upper bound on lambda_m).  Every
-    eigenvalue outside the block is then that far above the cut: each wanted
-    pair converges at least by ``_RATE`` per iteration, and a band narrower
-    than ``_BAND`` of the cut that the cut splits lies wholly inside, which
-    keeps the Ritz values accurate to the square of the residuals.  The
-    count is redone only when the size can depend on it: after the shift
-    moved (the edge falls and the block shrinks), when the edge rose above
-    the last counted one, or when the last resize was capped by the
-    doubling; otherwise the block keeps its size, which the last count
-    showed to be enough.  The iteration stops when every one of the merged
-    m lowest pairs meets ``residual_bound``.
-    """
-    rng = np.random.default_rng(seed)
-
-    def fill(V):
-        V[...] = rng.standard_normal(V.shape)
-        if V.dtype.kind == "c":
-            V.imag = rng.standard_normal(V.shape)
-
-    def grown(B, cols):
-        # Fortran order, so that the live block, a column prefix, is
-        # contiguous and BLAS writes it in place
-        width = min(B.shape[0], 2 * cols)
-        return np.empty((B.shape[0], width), dtype=np.result_type(B.dtype, float), order="F")
-
-    nb = len(blocks)
-    shifts = [floor] * nb
-    lus = [_shifted_lu(B, floor)[0] for B in blocks]
-    # per block: a work array whose column prefix X[b] is the live block,
-    # and the edge of the last inertia count with whether it capped the size
-    work, X = [], []
-    for B in blocks:
-        p = min(B.shape[0], -(-m // nb))
-        work.append(grown(B, p))
-        X.append(work[-1][:, :p])
-        fill(X[-1])
-    edges = [-np.inf] * nb
-    capped = [False] * nb
-    theta = [np.empty(0)] * nb
-    res = [np.empty(0)] * nb
-    for _ in range(_MAX_ITER):
-        for b, B in enumerate(blocks):
-            if X[b].shape[1]:
-                theta[b], res[b] = _ritz_step(B, lus[b], X[b])
-        vals, resid = np.concatenate(theta), np.concatenate(res)
-        owner = np.repeat(np.arange(nb), [t.size for t in theta])
-        order = np.argsort(vals, kind="stable")[:m]
-        worst = order[np.argmax(resid[order])]
-        if resid[worst] <= residual_bound:
-            return list(zip(theta, X))
-        cut = vals[order[-1]]
-        for b, B in enumerate(blocks):
-            p = X[b].shape[1]
-            if not p:
-                continue
-            low = theta[b][0]
-            step = max(res[b][0], residual_bound)
-            moved = False
-            while 4.0 * step <= low - shifts[b]:
-                trial, below = _shifted_lu(B, low - step)
-                if below == 0:
-                    shifts[b], lus[b], moved = low - step, trial, True
-                    break
-                del trial
-                step *= 4.0
-            size = 0
-            if shifts[b] < cut:
-                edge = max(shifts[b] + (cut - shifts[b]) / _RATE, cut + _BAND * abs(cut))
-                if moved or capped[b] or edge > edges[b]:
-                    count = _count_below(B, edge)
-                    edges[b], capped[b] = edge, count > 2 * p
-                    size = min(count, 2 * p)
-                else:
-                    size = p
-            if size > work[b].shape[1]:
-                work[b] = grown(B, size)
-                work[b][:, :p] = X[b]
-            keep = min(size, p)
-            X[b] = work[b][:, :size]
-            fill(X[b][:, keep:])
-            theta[b], res[b] = theta[b][:keep], res[b][:keep]
-    where = f"sector {owner[worst]}" if nb > 1 else "the operator"
-    raise EigensolverError(
-        f"shift-invert iteration in {where} did not converge in {_MAX_ITER} "
-        f"iterations: worst residual {resid[worst]:.3e} exceeds {residual_bound:.1e}"
-    )
-
-
 class _Basis:
-    """One growing Fortran-ordered work array for the Krylov bases of every sector.
+    """One growing Fortran-ordered work array for the Krylov bases of every block.
 
     ``view(n, cols, keep)`` returns an n x cols view of the array's prefix
     that keeps the first ``keep`` columns of the last view with n rows: they
     are the same leading ``n * keep`` entries, so growing copies only those.
     """
 
-    def __init__(self):
-        self.flat = np.empty(0)
+    def __init__(self, dtype):
+        self.flat = np.empty(0, dtype=dtype)
 
     def view(self, n: int, cols: int, keep: int = 0) -> np.ndarray:
         if n * cols > self.flat.size:
-            grown = np.empty(n * cols)
+            grown = np.empty(n * cols, dtype=self.flat.dtype)
             grown[: n * keep] = self.flat[: n * keep]
             self.flat = grown
         return self.flat[: n * cols].reshape((n, cols), order="F")
@@ -606,35 +461,47 @@ class _Basis:
 
 def _krylov(S, want: int, floor: float, residual_bound: float, rng, basis: _Basis,
             where: str, locked: np.ndarray | None = None, width: int = 0):
-    """Lowest ``want`` eigenpairs of a real symmetric sector S by shift-invert block Krylov.
+    """Lowest ``want`` eigenpairs of a Hermitian block S by shift-invert block Krylov.
 
-    The basis V starts with the ``locked`` columns, if any, and a random
-    block.  Each step solves the newest block with a symmetric-mode sparse LU
-    of ``S - sigma I``, reorthogonalizes it twice against all of V,
-    orthonormalizes it (``_orthonormalize``) and appends it; the projection
-    ``V^T S V`` grows by its block column.  A solved column that already lay
-    in V leaves rounding noise, which the second pass turns into a new
-    direction, so V keeps growing up to the dimension of S, where
-    Rayleigh-Ritz is exact.  Rayleigh-Ritz runs every ``_RR_EVERY`` steps,
-    sooner when the residual's rate since the last one predicts convergence,
-    and the solve stops when each of the ``want`` lowest Ritz pairs meets
-    ``residual_bound``.  Blocks are ``width`` wide, and sigma is ``floor``.
-    With width 0 the blocks start ``_PROBE_WIDTH`` wide, and the first
-    Rayleigh-Ritz widens them to S's inertia count below
+    S is a real symmetric rotation sector or a complex Hermitian operator;
+    the basis, its random columns and the projection take the dtype of
+    ``basis``.  The basis V starts with the ``locked`` columns, if any, and
+    a random block.  Each step solves the newest block with a
+    symmetric-mode sparse LU of ``S - sigma I``, reorthogonalizes it twice
+    against all of V, orthonormalizes it (``_orthonormalize``) and appends
+    it; the projection ``V^H S V`` grows by its block column.  A solved
+    column that already lay in V leaves rounding noise, which the second
+    pass turns into a new direction, so V keeps growing up to the dimension
+    of S, where Rayleigh-Ritz is exact.  Rayleigh-Ritz runs every
+    ``_RR_EVERY`` steps, sooner when the residual's rate since the last one
+    predicts convergence, and the solve stops when each of the ``want``
+    lowest Ritz pairs meets ``residual_bound``.  Blocks are ``width`` wide,
+    and sigma is ``floor``.  With width 0 the blocks start ``_PROBE_WIDTH``
+    wide, and the first Rayleigh-Ritz widens them to S's inertia count below
     ``theta_1 + _BAND |theta_1|``, the multiplicity of the lowest cluster
     (a block narrower than a level misses copies of it); sigma then moves up
     to theta_1 minus its residual when the inertia there shows no
     eigenvalue below.  Each factor is freed before the next is made: two
-    SuperLU factors alive at once double its heap.  Returns the Ritz
-    values, the Ritz vectors and the block width.
+    SuperLU factors alive at once double its heap.  The dense products go
+    through SciPy's BLAS and LAPACK, the library SuperLU calls: NumPy and
+    SciPy wheels each bundle an OpenBLAS with its own thread pool, and with
+    two threads, alternating between the two made a step about three times
+    slower.  Returns the Ritz values, the Ritz vectors and the block width.
     """
     n = S.shape[0]
-    gemm = scipy.linalg.blas.get_blas_funcs("gemm", (np.empty(0),))
-    syevr = scipy.linalg.lapack.get_lapack_funcs("syevr", (np.empty(0),))
+    dtype = basis.flat.dtype
+    gemm = scipy.linalg.blas.get_blas_funcs("gemm", dtype=dtype)
+    evr = scipy.linalg.lapack.get_lapack_funcs(
+        "heevr" if dtype.kind == "c" else "syevr", dtype=dtype
+    )
     lu = _shifted_lu(S, floor)[0]
     V = basis.view(n, 0)
-    columns = []  # block columns of V^T S V down to the diagonal, one per block of V
+    columns = []  # block columns of V^H S V down to the diagonal, one per block of V
     k = last = 0
+
+    def random(cols):
+        Y = rng.standard_normal((n, cols))
+        return Y + 1j * rng.standard_normal((n, cols)) if dtype.kind == "c" else Y
 
     def append(Y):
         nonlocal V, k, last
@@ -650,8 +517,8 @@ def _krylov(S, want: int, floor: float, residual_bound: float, rng, basis: _Basi
         k += last
 
     def projection():
-        # the upper triangle of V^T S V, which is all that syevr reads
-        H = np.empty((k, k), order="F")
+        # the upper triangle of V^H S V, which is all that the eigensolver reads
+        H = np.empty((k, k), dtype=dtype, order="F")
         j = 0
         for col in columns:
             H[: col.shape[0], j:j + col.shape[1]] = col
@@ -662,12 +529,12 @@ def _krylov(S, want: int, floor: float, residual_bound: float, rng, basis: _Basi
         append(np.array(locked, order="F"))
     sized = width > 0
     width = min(width or _PROBE_WIDTH, n - k)
-    append(np.asfortranarray(rng.standard_normal((n, width))))
+    append(np.asfortranarray(random(width)))
     next_rr, last_rr = _RR_EVERY, None
     for step in range(_MAX_ITER + 1):
         if k == n or step == _MAX_ITER or (step >= next_rr and (k >= want or not sized)):
             top = min(want, k)
-            theta, Y, _, _, info = syevr(projection(), range="I", il=1, iu=top, overwrite_a=True)
+            theta, Y, _, _, info = evr(projection(), range="I", il=1, iu=top, overwrite_a=True)
             if info:
                 raise EigensolverError(f"Rayleigh-Ritz eigensolve failed (LAPACK info {info})")
             theta = theta[:top]
@@ -695,10 +562,10 @@ def _krylov(S, want: int, floor: float, residual_bound: float, rng, basis: _Basi
                     lu = _shifted_lu(S, floor)[0]
         if k == n or step == _MAX_ITER:
             break
-        Y = np.empty((n, min(width, n - k)), order="F")
+        Y = np.empty((n, min(width, n - k)), dtype=dtype, order="F")
         solved = lu.solve(V[:, k - last:k])[:, : Y.shape[1]]
         Y[:, : solved.shape[1]] = solved
-        Y[:, solved.shape[1]:] = rng.standard_normal((n, Y.shape[1] - solved.shape[1]))
+        Y[:, solved.shape[1]:] = random(Y.shape[1] - solved.shape[1])
         append(Y)
     raise EigensolverError(
         f"Krylov solve in {where} did not converge in {_MAX_ITER} steps: "
@@ -707,23 +574,26 @@ def _krylov(S, want: int, floor: float, residual_bound: float, rng, basis: _Basi
 
 
 def _krylov_pairs(blocks, m: int, floor: float, residual_bound: float, seed: int):
-    """Lowest eigenpairs of each sector block by ``_krylov``, enough for the merged m.
+    """Lowest eigenpairs of each Hermitian block by ``_krylov``, enough for the merged m.
 
-    The sectors are solved one after another in one work array, each for
-    ``ceil(m / len(blocks))`` pairs, about its share of the m lowest.  Then
-    each sector's inertia below ``cut = theta_m - residual_bound`` (theta_m
-    the merged m-th value) is compared with its values below cut.  A sector
-    that holds more, because its share was short or its blocks missed copies
-    of a level, is solved again for that count, with its pairs locked into
-    the basis and fresh random columns beside them, until its values below
-    cut match the count.
+    The blocks are the four real rotation sectors of an operator with the
+    symmetry, or the complex operator itself as one block.  They are solved
+    one after another in one work array, each for ``ceil(m / len(blocks))``
+    pairs, about its share of the m lowest.  Then each block's inertia
+    below ``cut = theta_m - residual_bound`` (theta_m the merged m-th value)
+    is compared with its values below cut.  A block that holds more, because
+    its share was short or its Krylov blocks missed copies of a level, is
+    solved again for that count, with its pairs locked into the basis and
+    fresh random columns beside them, until its values below cut match the
+    count.
     """
     rng = np.random.default_rng(seed)
-    basis = _Basis()
+    basis = _Basis(np.result_type(blocks[0].dtype, float))
+    where = [f"sector {q}" for q in range(len(blocks))] if len(blocks) > 1 else ["the operator"]
 
     def solve(q, want, **kwargs):
         w, X, width = _krylov(blocks[q], want, floor, residual_bound, rng, basis,
-                              f"sector {q}", **kwargs)
+                              where[q], **kwargs)
         # copied once the solve's LU and temporaries are freed, the pairs sit
         # low in the heap, and the heap above them can be handed back
         return w, X.copy(order="F"), width
@@ -739,7 +609,7 @@ def _krylov_pairs(blocks, m: int, floor: float, residual_bound: float, seed: int
             w, X, width = solve(q, count, locked=X, width=width)
             if np.count_nonzero(w < cut) <= have:
                 raise EigensolverError(
-                    f"Krylov solve in sector {q} found {have} of the sector's "
+                    f"Krylov solve in {where[q]} found {have} of its "
                     f"{count} eigenvalues below {cut:.10g}"
                 )
         parts[q] = w, X
@@ -750,11 +620,10 @@ def _lowest_pairs(A: sp.csr_matrix, m: int, residual_bound: float, seed: int):
     """m smallest eigenpairs of A, per real rotation sector where A has them."""
     bases = _rotation_sectors(A)
     if bases is None:
-        vals, vecs = _shift_invert_pairs([A], m, _gershgorin_floor(A), residual_bound, seed)[0]
+        vals, vecs = _krylov_pairs([A], m, _gershgorin_floor(A), residual_bound, seed)[0]
         return vals[:m], vecs[:, :m]
     blocks = [(U.conj().T @ (A @ U)).real for U in bases]
-    solve = _krylov_pairs if m >= KRYLOV_MIN_M else _shift_invert_pairs
-    parts = solve(blocks, m, _gershgorin_floor(A), residual_bound, seed)
+    parts = _krylov_pairs(blocks, m, _gershgorin_floor(A), residual_bound, seed)
     vals = np.concatenate([w for w, _ in parts])
     owner = np.concatenate([np.full(w.size, b) for b, (w, _) in enumerate(parts)])
     local = np.concatenate([np.arange(w.size) for w, _ in parts])
@@ -781,21 +650,15 @@ def lowest_eigenvalues(
     that is degenerate to rounding contributes every copy below the cut.
 
     Paths: a dense solve at dimension ``<= dense_cutoff`` (also the oracle
-    path).  Above it, an operator on an n x n grid that has the exact
-    rotation and flip symmetries of ``_rotation_sectors`` is split into its
-    four real rotation sectors.  For ``m >= KRYLOV_MIN_M`` each sector in
-    turn goes to a shift-invert block Krylov solve (``_krylov_pairs``): a
-    sparse LU below the sector's spectrum, a basis grown by solved blocks as
-    wide as the sector's lowest cluster, and Rayleigh-Ritz on the projected
-    sector until its share of pairs converges; a sector whose inertia below
+    path).  Above it, one shift-invert block Krylov solve (``_krylov_pairs``)
+    per Hermitian block: the four real rotation sectors of an operator on an
+    n x n grid that has the exact rotation and flip symmetries of
+    ``_rotation_sectors``, or the whole operator as one block otherwise.
+    Each block gets a sparse LU below its spectrum, a basis grown by solved
+    blocks as wide as its lowest cluster, and Rayleigh-Ritz on the projected
+    block until its share of pairs converges; a block whose inertia below
     the merged cut exceeds its values there is solved again with its pairs
-    locked in.  Otherwise the
-    sectors, and any operator without the symmetry as one block, go to a
-    shift-invert block iteration (``_shift_invert_pairs``): sparse LU solves
-    about a shift certified by inertia to lie below the block's spectrum,
-    with a block sized by inertia so that every wanted pair converges,
-    until every pair of the merged m lowest meets ``residual_bound``.  Both
-    iterative paths draw their random columns from ``seed``.
+    locked in.  The random columns are drawn from ``seed``.
 
     Every returned pair is residual-checked, ``_RESIDUAL_COLUMNS`` columns
     at a time: ||A v - lambda v|| / ||v|| <= residual_bound.  Every result
@@ -804,8 +667,8 @@ def lowest_eigenvalues(
     number of returned values below it.
 
     Raises ``ValueError`` unless 0 < m < dim, and ``EigensolverError`` when
-    the block iteration or a sector's Krylov solve does not converge, a pair
-    misses the residual bound, or the inertia certificate fails.
+    a Krylov solve does not converge, a pair misses the residual bound, or
+    the inertia certificate fails.
     """
     A = op if sp.issparse(op) else sp.csr_matrix(op)
     dim = A.shape[0]

@@ -193,33 +193,21 @@ def test_block_result_missing_a_copy_fails_certificate(monkeypatch):
     def fake_pairs(*args, **kwargs):
         return [(vals[keep], vecs[:, keep])]
 
-    monkeypatch.setattr(spectral, "_shift_invert_pairs", fake_pairs)
+    monkeypatch.setattr(spectral, "_krylov_pairs", fake_pairs)
     with pytest.raises(EigensolverError, match="5 eigenvalues below .* returned 4"):
         lowest_eigenvalues(A, 5, dense_cutoff=10)
 
 
-def test_block_iteration_non_convergence_raises(monkeypatch):
-    monkeypatch.setattr(spectral, "_MAX_ITER", 1)
-    with pytest.raises(
-        EigensolverError,
-        match=r"in the operator did not converge in 1 iterations: worst residual .* exceeds 1\.0e-08",
-    ):
-        lowest_eigenvalues(_dirichlet_1d(1200, 1.0 / 1201.0), 5, dense_cutoff=10)
-    grid = BoxGrid((-8.0, -8.0), (8.0, 8.0), (65, 65))
-    with pytest.raises(EigensolverError, match=r"in sector [0-3] did not converge in 1 "):
-        lowest_eigenvalues(assemble_twisted(1.0, grid), 30)
-
-
 def test_operator_without_symmetry_keeps_every_copy(monkeypatch):
-    # with the sector path off the whole operator is one block; the cut at
-    # m = 140 falls among near-degenerate copies (141 eigenvalues lie below
-    # 11.27), and every copy must come back
+    # with the sector path off the whole operator is one complex Hermitian
+    # block; the cut at m = 140 falls among near-degenerate copies (141
+    # eigenvalues lie below 11.27), and every copy must come back
     grid = BoxGrid((-6.0, -6.0), (6.0, 6.0), (45, 45))
     A = assemble_twisted(1.0, grid)
     dense_vals, _ = lowest_eigenvalues(A, 140)
     monkeypatch.setattr(spectral, "_rotation_sectors", lambda A: None)
-    block_vals, vecs = lowest_eigenvalues(A, 140, dense_cutoff=10)
-    np.testing.assert_allclose(block_vals, dense_vals, rtol=0, atol=1e-9)
+    krylov_vals, vecs = lowest_eigenvalues(A, 140, dense_cutoff=10)
+    np.testing.assert_allclose(krylov_vals, dense_vals, rtol=0, atol=1e-9)
     assert vecs.shape == (grid.node_count, 140)
 
 
@@ -242,25 +230,24 @@ def _dense_sector_values(A, m):
 
 
 @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
-def test_block_path_matches_sector_dense_path(monkeypatch, tau):
+def test_small_m_sector_path_matches_sector_dense_path(monkeypatch, tau):
     # the oracle is the dense path on each rotation sector
-    # 65^2 on [-8, 8]^2 at m = 30 takes the block path; at tau = 2 each
+    # 65^2 on [-8, 8]^2 at m = 30, 8 pairs per sector; at tau = 2 each
     # sector's lowest level has about 65 members, its 38th within 6e-5 of
-    # its lowest, so a fixed block of m + m/4 = 38 columns would end inside it
+    # its lowest, so a block narrower than the level would miss copies
     grid = BoxGrid((-8.0, -8.0), (8.0, 8.0), (65, 65))
     A = assemble_twisted(tau, grid)
     calls = _count_dense_eigh(monkeypatch)
-    block_vals, vecs = lowest_eigenvalues(A, 30)
+    sector_vals, vecs = lowest_eigenvalues(A, 30)
     assert calls == []
-    np.testing.assert_allclose(block_vals, _dense_sector_values(A, 30), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sector_vals, _dense_sector_values(A, 30), rtol=0, atol=1e-12)
     assert vecs.shape == (grid.node_count, 30)
 
 
-def test_block_solve_factors_no_more_than_every_edge_recount(monkeypatch):
-    # 65^2, tau = 2, m = 30 on the block path: recounting every block at its
-    # edge after every iteration made 53 factorizations here (shift trials,
-    # edge counts, starting factors and the certificate); recounting only
-    # when the resize depends on the count must not make more
+def test_small_m_sector_solve_factors_at_most_17_times(monkeypatch):
+    # 65^2, tau = 2, m = 30: per sector a factor at the floor, an inertia
+    # count that sizes the blocks, a factor below the lowest Ritz value and
+    # the count below the merged cut, then the certificate: 17
     calls = []
     shifted_lu = spectral._shifted_lu
 
@@ -272,27 +259,7 @@ def test_block_solve_factors_no_more_than_every_edge_recount(monkeypatch):
     grid = BoxGrid((-8.0, -8.0), (8.0, 8.0), (65, 65))
     lowest_eigenvalues(assemble_twisted(2.0, grid), 30)
     assert calls.count(grid.node_count) == 1  # the certificate
-    assert len(calls) <= 53
-
-
-def test_block_widths_shrink_as_the_shift_climbs(monkeypatch):
-    # 65^2, tau = 0.5, m = 30: each block doubles from 8 to 32 columns, is
-    # cut to its count (17 or 18) with the shift still far below, and shrinks
-    # again (to 13 or 14) as later shift moves pull the edge down.  Without
-    # a recount after a shift move the blocks stay at 17 or 18; recounting
-    # only when the edge rises keeps them at 16, too few for the band.
-    widths = []
-    ritz_step = spectral._ritz_step
-
-    def spy(B, lu, X):
-        widths.append(X.shape[1])
-        return ritz_step(B, lu, X)
-
-    monkeypatch.setattr(spectral, "_ritz_step", spy)
-    grid = BoxGrid((-8.0, -8.0), (8.0, 8.0), (65, 65))
-    lowest_eigenvalues(assemble_twisted(0.5, grid), 30)
-    per_block = [widths[b::4] for b in range(4)]
-    assert all(max(w) == 32 and w[-1] < w[3] for w in per_block)
+    assert len(calls) <= 17
 
 
 def _orthonormal_with_span(Y, Q) -> None:
@@ -403,24 +370,27 @@ def test_krylov_path_extends_a_sector_short_of_its_count(monkeypatch, m, drop):
     np.testing.assert_allclose(krylov_vals, dense_vals, rtol=0, atol=1e-12)
 
 
-def test_krylov_basis_grows_past_an_invariant_subspace():
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_krylov_basis_grows_past_an_invariant_subspace(dtype):
     # two distinct eigenvalues: the first solve makes the basis invariant,
     # so later solved blocks lie in it and the basis must still grow until
-    # it holds all 60 copies of the lowest value
+    # it holds all 60 copies of the lowest value.  The complex S is the
+    # diagonal one turned by a random unitary Q, the spectrum unchanged.
     S = sp.diags(np.repeat([1.0, 2.0], [60, 40])).tocsr()
+    if dtype is complex:
+        Q = np.linalg.qr(_random_block(complex, shape=(100, 100)))[0]
+        S = sp.csr_matrix(Q @ S.toarray() @ Q.conj().T)
     w, X, width = spectral._krylov(
-        S, 70, 0.0, 1e-8, np.random.default_rng(0), spectral._Basis(), "sector 0"
+        S, 70, 0.0, 1e-8, np.random.default_rng(0), spectral._Basis(dtype), "the operator"
     )
+    assert X.dtype == dtype
     assert width == 60  # the inertia count of the lowest cluster
     np.testing.assert_allclose(w, np.repeat([1.0, 2.0], [60, 10]), rtol=0, atol=1e-12)
-    assert np.linalg.norm(X.T @ X - np.eye(70), 2) <= 1e-12
+    assert np.linalg.norm(X.conj().T @ X - np.eye(70), 2) <= 1e-12
 
 
 def test_large_m_takes_the_krylov_path(monkeypatch):
-    def no_block(*args, **kwargs):
-        raise AssertionError("large m must not take the block path")
-
-    monkeypatch.setattr(spectral, "_shift_invert_pairs", no_block)
+    # no dense eigh, and each sector is first solved for its share m / 4
     calls = _count_dense_eigh(monkeypatch)
     solves = _spy_krylov(monkeypatch)
     grid = BoxGrid((-6.0, -6.0), (6.0, 6.0), (33, 33))
@@ -455,6 +425,12 @@ def test_krylov_non_convergence_raises(monkeypatch):
         match=r"Krylov solve in sector 0 did not converge in 1 steps: worst residual .* exceeds 1\.0e-08",
     ):
         lowest_eigenvalues(assemble_twisted(1.0, grid), 100, dense_cutoff=10)
+    # an operator without the symmetry is solved as one block
+    with pytest.raises(
+        EigensolverError,
+        match=r"Krylov solve in the operator did not converge in 1 steps: worst residual .* exceeds 1\.0e-08",
+    ):
+        lowest_eigenvalues(_dirichlet_1d(1200, 1.0 / 1201.0), 5, dense_cutoff=10)
 
 
 def _spectra_csv_bytes(tmp_path, params: dict, seed: int) -> list:
@@ -470,16 +446,11 @@ def _spectra_csv_bytes(tmp_path, params: dict, seed: int) -> list:
     return runs
 
 
-def test_spectra_campaign_block_path_reproducible_csv(tmp_path):
-    # m = 30 at 65^2 takes the block path, whose start block is seeded
-    runs = _spectra_csv_bytes(tmp_path, {"counts": 65, "m": 30, "levels": 1, "tau": 2.0}, 7)
-    assert runs[0] == runs[1]
-
-
-def test_spectra_campaign_krylov_path_reproducible_csv(tmp_path, monkeypatch):
-    # m = 130 at 65^2 takes the Krylov path, whose random columns are seeded
+@pytest.mark.parametrize("m", [30, 130])
+def test_spectra_campaign_reproducible_csv(tmp_path, monkeypatch, m):
+    # 65^2 takes the Krylov path, whose random columns are seeded
     solves = _spy_krylov(monkeypatch)
-    runs = _spectra_csv_bytes(tmp_path, {"counts": 65, "m": 130, "levels": 1, "tau": 2.0}, 7)
+    runs = _spectra_csv_bytes(tmp_path, {"counts": 65, "m": m, "levels": 1, "tau": 2.0}, 7)
     assert solves and runs[0] == runs[1]
 
 

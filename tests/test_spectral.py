@@ -425,12 +425,20 @@ def test_krylov_non_convergence_raises(monkeypatch):
         match=r"Krylov solve in sector 0 did not converge in 1 steps: worst residual .* exceeds 1\.0e-08",
     ):
         lowest_eigenvalues(assemble_twisted(1.0, grid), 100, dense_cutoff=10)
-    # an operator without the symmetry is solved as one block
+
+
+def test_block_iteration_non_convergence_raises(monkeypatch):
+    # the small-m inputs the block iteration used to take, one block and
+    # m = 30 sectors, now fail through the Krylov solve
+    monkeypatch.setattr(spectral, "_MAX_ITER", 1)
     with pytest.raises(
         EigensolverError,
         match=r"Krylov solve in the operator did not converge in 1 steps: worst residual .* exceeds 1\.0e-08",
     ):
         lowest_eigenvalues(_dirichlet_1d(1200, 1.0 / 1201.0), 5, dense_cutoff=10)
+    grid = BoxGrid((-8.0, -8.0), (8.0, 8.0), (65, 65))
+    with pytest.raises(EigensolverError, match=r"in sector [0-3] did not converge in 1 "):
+        lowest_eigenvalues(assemble_twisted(1.0, grid), 30)
 
 
 def _spectra_csv_bytes(tmp_path, params: dict, seed: int) -> list:

@@ -1,12 +1,13 @@
 """Batch campaign runner and report emitter.
 
-Verbs: ``spectra``, ``weyl``, ``gram``, ``folland-stein``, ``solve``,
-``conventions``.  Every campaign resolves its parameters as
+Each campaign (verb) is one record in ``_CAMPAIGNS``, declared beside its
+runner: default parameters, runner, CSV tables and plots.  Every campaign
+resolves its parameters as
 
     built-in defaults  <  JSON config file (--config)  <  CLI flags,
 
 executes, writes ``<kind>_report.json`` (schema ``heislab-report-v1``) plus
-CSV tables into the output directory (--out, else ``$HEISLAB_OUT``, else
+its CSV tables into the output directory (--out, else ``$HEISLAB_OUT``, else
 ``./heislab-out``), and exits 0 exactly when every in-campaign check passed.
 
 Report JSON layout::
@@ -14,21 +15,9 @@ Report JSON layout::
     {"schema": "heislab-report-v1", "kind": ..., "config": {...},
      "results": {...}, "checks": {name: bool}, "ok": bool}
 
-CSV files per kind (headers are the contract):
-
-* spectra: eigenvalues.csv (index,eigenvalue),
-  ladder.csv (k,center,model,rel_deviation),
-  residuals.csv (j,k,scaling,angular_sign,residual)
-* weyl: weyl.csv (width,sigma,tau0,residual,eigen_estimate)
-* gram: gram.csv (row_j,row_k,col_j,col_k,real,imag),
-  gram_norms.csv (j,k,raw_norm)
-* folland-stein: fs_history.csv (iteration,quotient)
-* solve: ray.csv (t,energy), ps_log.csv (iteration,energy,gradient_norm,hw_norm)
-* conventions: conventions.csv
-  (scaling,angular_sign,residual,bridge_sign_inverse,bridge_sign_forward)
-
-``--plots`` renders static images of the same tables when matplotlib is
-available (skipped with a warning otherwise).
+CSV headers are the contract; each record's tables list them, and README
+"Report formats" tabulates them.  ``--plots`` renders static images of the
+same tables when matplotlib is available (skipped with a warning otherwise).
 """
 
 from __future__ import annotations
@@ -42,6 +31,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,7 +52,6 @@ from .variational import (
     KirchhoffM,
     KirchhoffProblem,
     dirichlet_field,
-    energy,
     folland_stein_constant,
     hw_norm,
     mountain_pass_solve,
@@ -73,72 +62,6 @@ from .variational import (
 )
 
 SCHEMA = "heislab-report-v1"
-KINDS = ("spectra", "weyl", "gram", "folland-stein", "solve", "conventions")
-
-_DEFAULTS: dict[str, dict] = {
-    "spectra": {
-        "tau": 1.0,
-        "half": 8.0,
-        "counts": 65,
-        "m": 520,
-        "levels": 3,
-        "angular_sign": 1,
-        "scaling": 2.0,
-        "kappa0": 4.0,
-        "residual_pairs": [[0, 0], [0, 1]],
-        "seed": 0,
-    },
-    "weyl": {
-        "lam": 4.0,
-        "j": 0,
-        "k": 0,
-        "widths": [2.0, 4.0, 8.0, 16.0],
-        "half": 7.0,
-        "counts": 141,
-        "kappa0": 4.0,
-        "probe_lambda": None,
-        "tau0_start": 0.1,
-        "seed": 0,
-    },
-    "gram": {"tau": 1.0, "J": 3, "K": 3, "seed": 0},
-    "folland-stein": {
-        "p": 2.0,
-        "half": 4.0,
-        "counts": 25,
-        "iters": 200,
-        "seed": 0,
-    },
-    "solve": {
-        "n": 1,
-        "p": 2.0,
-        "lam": 50.0,
-        "kirchhoff_kind": "nondegenerate",
-        "m0": 1.0,
-        "b": 1.0,
-        "m1": 1.0,
-        "kappa": 1.5,
-        "r_g": 3.5,
-        "theta": 3.5,
-        "potential": 1.0,
-        "half": 4.0,
-        "counts": 33,
-        "max_iter": 20000,
-        "fs_iters": 150,
-        "ray_t_max": 24.0,
-        "ray_steps": 200,
-        "bump_width": 1.2,
-        "seed": 0,
-    },
-    "conventions": {
-        "tau": 1.0,
-        "half": 6.0,
-        "counts": 101,
-        "j": 0,
-        "k": 1,
-        "kappa0": 4.0,
-        "seed": 0,
-    },
-}
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +95,9 @@ def _load_config_file(path: str) -> dict:
 
 def resolve_config(kind: str, file_config: dict | None, flags: dict) -> dict:
     """defaults < config file < explicit CLI flags; returns the full config."""
-    if kind not in KINDS:
-        raise SystemExit(f"unknown kind {kind!r}; choose from {KINDS}")
-    params = dict(_DEFAULTS[kind])
+    if kind not in _CAMPAIGNS:
+        raise SystemExit(f"unknown kind {kind!r}; choose from {', '.join(_CAMPAIGNS)}")
+    params = dict(_CAMPAIGNS[kind].defaults)
     seed = 0
     out = None
     if file_config:
@@ -201,8 +124,12 @@ def resolve_config(kind: str, file_config: dict | None, flags: dict) -> dict:
     if flags.get("lam") is not None and "lam" in params:
         params["lam"] = float(flags["lam"])
     if flags.get("grid") is not None:
-        counts = _parse_grid(flags["grid"])
-        params["counts"] = counts[0] if len(counts) == 1 else list(counts)
+        counts = _parse_grid(flags["grid"])  # malformed text fails on every kind
+        if "counts" in params:
+            params["counts"] = counts[0] if len(counts) == 1 else list(counts)
+    counts = params.get("counts")
+    if isinstance(counts, (list, tuple)) and len(set(counts)) > 1:
+        raise SystemExit(f"counts {list(counts)} differ; every axis takes the same count")
     params["seed"] = seed
     return {"schema": SCHEMA, "kind": kind, "seed": seed, "out": out, "params": params}
 
@@ -229,17 +156,99 @@ def _jsonable(obj):
 
 
 # ---------------------------------------------------------------------------
+# campaign records
+# ---------------------------------------------------------------------------
+
+
+class _Campaign(NamedTuple):
+    """One verb: its default parameters, runner, CSV tables and plots.
+
+    A table is (file, header line, rows from ``results``).  A plot is (file,
+    x, y, axes method, x label, y label, style) and draws
+    ``ax.<method>([x,] y, **style)``; x and y are key paths into ``results``,
+    x None plots y against its index, and an empty y draws nothing.
+    """
+
+    defaults: dict
+    run: Callable[[dict], tuple[dict, dict]]
+    tables: tuple
+    plots: tuple
+
+
+_CAMPAIGNS: dict[str, _Campaign] = {}
+
+
+def _campaign(kind: str, defaults: dict, tables: tuple, plots: tuple = ()):
+    """Register the decorated runner as campaign ``kind``; ``--help`` keeps this order."""
+    def register(run):
+        _CAMPAIGNS[kind] = _Campaign(defaults, run, tables, plots)
+        return run
+    return register
+
+
+def _series(results: dict, path: str) -> list:
+    """The list at the dotted key ``path`` of ``results``; [] where a key is missing."""
+    value = results
+    for key in path.split("."):
+        value = (value or {}).get(key)
+    return value or []
+
+
+def _columns(*paths: str, index: bool = False) -> Callable[[dict], list]:
+    """Rows zipped from the series at ``paths``, led by the row index if asked.
+
+    A list-valued cell, such as a (j, k) label, spreads over its columns."""
+    def rows(results: dict) -> list:
+        zipped = zip(*(_series(results, path) for path in paths))
+        out = [[v for cell in row for v in (cell if isinstance(cell, list) else [cell])]
+               for row in zipped]
+        return [[i, *row] for i, row in enumerate(out)] if index else out
+    return rows
+
+
+def _count(p: dict) -> int:
+    """Nodes per axis; ``resolve_config`` rejects a ``counts`` list that differs."""
+    counts = p["counts"]
+    return counts if isinstance(counts, int) else counts[0]
+
+
+# ---------------------------------------------------------------------------
 # campaigns
 # ---------------------------------------------------------------------------
 
 
-def _square_grid(half: float, counts) -> BoxGrid:
-    c = counts if isinstance(counts, int) else counts[0]
-    return BoxGrid((-half, -half), (half, half), (c, c))
+def _ladder_rows(results: dict) -> list:
+    ladder = results.get("ladder")
+    if not ladder:
+        return []
+    k0, tau = ladder["kappa0"], abs(ladder["tau"])
+    models = [k0 * (2 * k + 1) * tau for k in range(len(ladder["centers"]))]
+    return [[k, center, model, abs(center - model) / model]
+            for k, (center, model) in enumerate(zip(ladder["centers"], models))]
 
 
+@_campaign(
+    "spectra",
+    defaults={
+        "tau": 1.0, "half": 8.0, "counts": 65, "m": 520, "levels": 3,
+        "angular_sign": 1, "scaling": 2.0, "kappa0": 4.0,
+        "residual_pairs": [[0, 0], [0, 1]], "seed": 0,
+    },
+    tables=(
+        ("eigenvalues.csv", "index,eigenvalue", _columns("eigenvalues", index=True)),
+        ("ladder.csv", "k,center,model,rel_deviation", _ladder_rows),
+        ("residuals.csv", "j,k,scaling,angular_sign,residual", lambda r: [
+            [row[c] for c in ("j", "k", "scaling", "angular_sign", "residual")]
+            for row in r.get("residuals", [])
+        ]),
+    ),
+    plots=(
+        ("eigenvalues.png", None, "eigenvalues", "plot", "index", "eigenvalue",
+         {"marker": ".", "linestyle": "none"}),
+    ),
+)
 def _run_spectra(p: dict) -> tuple[dict, dict]:
-    grid = _square_grid(float(p["half"]), p["counts"])
+    grid = BoxGrid.cube(float(p["half"]), _count(p), 2)
     tau = float(p["tau"])
     h = max(grid.spacing)
     t0 = time.perf_counter()
@@ -285,14 +294,27 @@ def _run_spectra(p: dict) -> tuple[dict, dict]:
     return results, checks
 
 
+@_campaign(
+    "weyl",
+    defaults={
+        "lam": 4.0, "j": 0, "k": 0, "widths": [2.0, 4.0, 8.0, 16.0], "half": 7.0,
+        "counts": 141, "kappa0": 4.0, "probe_lambda": None, "tau0_start": 0.1, "seed": 0,
+    },
+    tables=(
+        ("weyl.csv", "width,sigma,tau0,residual,eigen_estimate",
+         _columns("widths", "sigmas", "tau0s", "residuals", "eigen_estimates")),
+    ),
+    plots=(
+        ("weyl.png", "widths", "residuals", "loglog", "envelope width", "residual",
+         {"marker": "o"}),
+    ),
+)
 def _run_weyl(p: dict) -> tuple[dict, dict]:
     widths = [float(w) for w in p["widths"]]
     half = float(p["half"])
-    c = p["counts"] if isinstance(p["counts"], int) else p["counts"][0]
+    c = _count(p)
     t_half = 3.0 * max(w * w for w in widths)
-    grid3 = BoxGrid(
-        (-half, -half, -t_half), (half, half, t_half), (c, c, 3)
-    )
+    grid3 = BoxGrid((-half, -half, -t_half), (half, half, t_half), (c, c, 3))
     probe_lambda = p["probe_lambda"]
     res = weyl_probe(
         float(p["lam"]),
@@ -314,6 +336,21 @@ def _run_weyl(p: dict) -> tuple[dict, dict]:
     return results, checks
 
 
+def _gram_rows(results: dict) -> list:
+    labels = results.get("labels", [])
+    re_m, im_m = results.get("matrix_real", []), results.get("matrix_imag", [])
+    return [[*la, *lb, re_m[a][b], im_m[a][b]]
+            for a, la in enumerate(labels) for b, lb in enumerate(labels)]
+
+
+@_campaign(
+    "gram",
+    defaults={"tau": 1.0, "J": 3, "K": 3, "seed": 0},
+    tables=(
+        ("gram.csv", "row_j,row_k,col_j,col_k,real,imag", _gram_rows),
+        ("gram_norms.csv", "j,k,raw_norm", _columns("labels", "raw_norms")),
+    ),
+)
 def _run_gram(p: dict) -> tuple[dict, dict]:
     res = gram_matrix(int(p["J"]), int(p["K"]), float(p["tau"]))
     out = res.to_dict()
@@ -323,10 +360,16 @@ def _run_gram(p: dict) -> tuple[dict, dict]:
     return out, checks
 
 
+@_campaign(
+    "folland-stein",
+    defaults={"p": 2.0, "half": 4.0, "counts": 25, "iters": 200, "seed": 0},
+    tables=(
+        ("fs_history.csv", "iteration,quotient", _columns("history", index=True)),
+    ),
+    plots=(("fs_history.png", None, "history", "semilogy", "iteration", "quotient", {}),),
+)
 def _run_folland_stein(p: dict) -> tuple[dict, dict]:
-    c = p["counts"] if isinstance(p["counts"], int) else p["counts"][0]
-    half = float(p["half"])
-    grid = BoxGrid.cube(half, c, 3)
+    grid = BoxGrid.cube(float(p["half"]), _count(p), 3)
     res = folland_stein_constant(
         grid, float(p["p"]), iters=int(p["iters"]), seed=int(p["seed"])
     )
@@ -341,9 +384,8 @@ def _run_folland_stein(p: dict) -> tuple[dict, dict]:
 
 
 def _build_problem(p: dict) -> KirchhoffProblem:
-    c = p["counts"] if isinstance(p["counts"], int) else p["counts"][0]
     n = int(p["n"])
-    grid = BoxGrid.cube(float(p["half"]), c, 2 * n + 1)
+    grid = BoxGrid.cube(float(p["half"]), _count(p), 2 * n + 1)
     if p["kirchhoff_kind"] == "degenerate":
         km = KirchhoffM.degenerate(float(p["m1"]), float(p["kappa"]))
     else:
@@ -360,6 +402,28 @@ def _build_problem(p: dict) -> KirchhoffProblem:
     )
 
 
+@_campaign(
+    "solve",
+    defaults={
+        "n": 1, "p": 2.0, "lam": 50.0, "kirchhoff_kind": "nondegenerate",
+        "m0": 1.0, "b": 1.0, "m1": 1.0, "kappa": 1.5, "r_g": 3.5, "theta": 3.5,
+        "potential": 1.0, "half": 4.0, "counts": 33, "max_iter": 20000,
+        "fs_iters": 150, "ray_t_max": 24.0, "ray_steps": 200, "bump_width": 1.2,
+        "seed": 0,
+    },
+    tables=(
+        ("ray.csv", "t,energy", _columns("ray.ts", "ray.energies")),
+        ("ps_log.csv", "iteration,energy,gradient_norm,hw_norm", _columns(
+            "mountain_pass.energies", "mountain_pass.gradient_norms",
+            "mountain_pass.norms", index=True,
+        )),
+    ),
+    plots=(
+        ("ps_log.png", None, "mountain_pass.gradient_norms", "semilogy",
+         "iteration", "gradient norm", {}),
+        ("ray.png", "ray.ts", "ray.energies", "plot", "t", "J(t v0)", {}),
+    ),
+)
 def _run_solve(p: dict) -> tuple[dict, dict]:
     problem = _build_problem(p)
     report = validate_exponents(problem)
@@ -403,8 +467,27 @@ def _run_solve(p: dict) -> tuple[dict, dict]:
     return results, checks
 
 
+def _conventions_rows(results: dict) -> list:
+    conv = results.get("convention")
+    if not conv:
+        return []
+    return [[conv["scaling"], conv["angular_sign"], conv["residual"],
+             results.get("bridge_sign_inverse"), results.get("bridge_sign_forward")]]
+
+
+@_campaign(
+    "conventions",
+    defaults={
+        "tau": 1.0, "half": 6.0, "counts": 101, "j": 0, "k": 1, "kappa0": 4.0, "seed": 0,
+    },
+    tables=(
+        ("conventions.csv",
+         "scaling,angular_sign,residual,bridge_sign_inverse,bridge_sign_forward",
+         _conventions_rows),
+    ),
+)
 def _run_conventions(p: dict) -> tuple[dict, dict]:
-    grid = _square_grid(float(p["half"]), p["counts"])
+    grid = BoxGrid.cube(float(p["half"]), _count(p), 2)
     checks: dict[str, bool] = {}
     try:
         choice = convention_search(
@@ -431,25 +514,15 @@ def _run_conventions(p: dict) -> tuple[dict, dict]:
     return results, checks
 
 
-_RUNNERS = {
-    "spectra": _run_spectra,
-    "weyl": _run_weyl,
-    "gram": _run_gram,
-    "folland-stein": _run_folland_stein,
-    "solve": _run_solve,
-    "conventions": _run_conventions,
-}
-
-
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
+def _write_csv(path: Path, header: str, rows: list) -> Path:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(header.split(","))
         writer.writerows(rows)
     return path
 
@@ -458,103 +531,9 @@ def emit_csv(report: dict, out_dir) -> list[Path]:
     """Write the report's tabular sections as CSV files; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    kind = report.get("kind", "")
-    results = report.get("results", {}) or {}
-    written: list[Path] = []
-    if kind == "spectra":
-        eigs = results.get("eigenvalues", [])
-        written.append(
-            _write_csv(out / "eigenvalues.csv", ["index", "eigenvalue"],
-                       [[i, v] for i, v in enumerate(eigs)])
-        )
-        rows = []
-        ladder = results.get("ladder")
-        if ladder:
-            k0, tau = ladder["kappa0"], abs(ladder["tau"])
-            for k, center in enumerate(ladder["centers"]):
-                model = k0 * (2 * k + 1) * tau
-                rows.append([k, center, model, abs(center - model) / model])
-        written.append(
-            _write_csv(out / "ladder.csv", ["k", "center", "model", "rel_deviation"], rows)
-        )
-        written.append(
-            _write_csv(
-                out / "residuals.csv",
-                ["j", "k", "scaling", "angular_sign", "residual"],
-                [[r["j"], r["k"], r["scaling"], r["angular_sign"], r["residual"]]
-                 for r in results.get("residuals", [])],
-            )
-        )
-    elif kind == "weyl":
-        rows = [
-            [w, s, t, r, e]
-            for w, s, t, r, e in zip(
-                results.get("widths", []), results.get("sigmas", []),
-                results.get("tau0s", []), results.get("residuals", []),
-                results.get("eigen_estimates", []),
-            )
-        ]
-        written.append(
-            _write_csv(out / "weyl.csv",
-                       ["width", "sigma", "tau0", "residual", "eigen_estimate"], rows)
-        )
-    elif kind == "gram":
-        labels = [tuple(l) for l in results.get("labels", [])]
-        re_m = results.get("matrix_real", [])
-        im_m = results.get("matrix_imag", [])
-        rows = []
-        for a, la in enumerate(labels):
-            for b, lb in enumerate(labels):
-                rows.append([la[0], la[1], lb[0], lb[1], re_m[a][b], im_m[a][b]])
-        written.append(
-            _write_csv(out / "gram.csv",
-                       ["row_j", "row_k", "col_j", "col_k", "real", "imag"], rows)
-        )
-        written.append(
-            _write_csv(out / "gram_norms.csv", ["j", "k", "raw_norm"],
-                       [[l[0], l[1], v] for l, v in
-                        zip(labels, results.get("raw_norms", []))])
-        )
-    elif kind == "folland-stein":
-        written.append(
-            _write_csv(out / "fs_history.csv", ["iteration", "quotient"],
-                       [[i, v] for i, v in enumerate(results.get("history", []))])
-        )
-    elif kind == "solve":
-        ray = results.get("ray", {})
-        written.append(
-            _write_csv(out / "ray.csv", ["t", "energy"],
-                       list(zip(ray.get("ts", []), ray.get("energies", []))))
-        )
-        mp = results.get("mountain_pass", {})
-        rows = [
-            [i, e, g, n]
-            for i, (e, g, n) in enumerate(
-                zip(mp.get("energies", []), mp.get("gradient_norms", []),
-                    mp.get("norms", []))
-            )
-        ]
-        written.append(
-            _write_csv(out / "ps_log.csv",
-                       ["iteration", "energy", "gradient_norm", "hw_norm"], rows)
-        )
-    elif kind == "conventions":
-        conv = results.get("convention") or {}
-        rows = []
-        if conv:
-            rows.append([
-                conv["scaling"], conv["angular_sign"], conv["residual"],
-                results.get("bridge_sign_inverse"), results.get("bridge_sign_forward"),
-            ])
-        written.append(
-            _write_csv(
-                out / "conventions.csv",
-                ["scaling", "angular_sign", "residual",
-                 "bridge_sign_inverse", "bridge_sign_forward"],
-                rows,
-            )
-        )
-    return written
+    kind, results = report.get("kind"), report.get("results") or {}
+    tables = _CAMPAIGNS[kind].tables if kind in _CAMPAIGNS else ()
+    return [_write_csv(out / name, header, rows(results)) for name, header, rows in tables]
 
 
 def _render_plots(report: dict, out_dir: Path) -> list[Path]:
@@ -565,48 +544,22 @@ def _render_plots(report: dict, out_dir: Path) -> list[Path]:
     except ImportError:
         warnings.warn("matplotlib unavailable; skipping plots", stacklevel=2)
         return []
-    kind = report.get("kind", "")
-    results = report.get("results", {}) or {}
+    kind, results = report.get("kind"), report.get("results") or {}
     paths: list[Path] = []
-
-    def save(fig, name: str) -> None:
+    plots = _CAMPAIGNS[kind].plots if kind in _CAMPAIGNS else ()
+    for name, x, y, method, xlabel, ylabel, style in plots:
+        ys = _series(results, y)
+        if not ys:
+            continue
+        fig, ax = plt.subplots()
+        xy = (ys,) if x is None else (_series(results, x), ys)
+        getattr(ax, method)(*xy, **style)
+        ax.set_xlabel(xlabel)
+        ax.set_ylabel(ylabel)
         path = out_dir / name
         fig.savefig(path, dpi=120)
         plt.close(fig)
         paths.append(path)
-
-    if kind == "spectra" and results.get("eigenvalues"):
-        fig, ax = plt.subplots()
-        ax.plot(results["eigenvalues"], marker=".", linestyle="none")
-        ax.set_xlabel("index")
-        ax.set_ylabel("eigenvalue")
-        save(fig, "eigenvalues.png")
-    elif kind == "weyl" and results.get("residuals"):
-        fig, ax = plt.subplots()
-        ax.loglog(results["widths"], results["residuals"], marker="o")
-        ax.set_xlabel("envelope width")
-        ax.set_ylabel("residual")
-        save(fig, "weyl.png")
-    elif kind == "folland-stein" and results.get("history"):
-        fig, ax = plt.subplots()
-        ax.semilogy(results["history"])
-        ax.set_xlabel("iteration")
-        ax.set_ylabel("quotient")
-        save(fig, "fs_history.png")
-    elif kind == "solve" and results.get("mountain_pass"):
-        mp = results["mountain_pass"]
-        fig, ax = plt.subplots()
-        ax.semilogy(mp.get("gradient_norms", []))
-        ax.set_xlabel("iteration")
-        ax.set_ylabel("gradient norm")
-        save(fig, "ps_log.png")
-        ray = results.get("ray", {})
-        if ray:
-            fig, ax = plt.subplots()
-            ax.plot(ray["ts"], ray["energies"])
-            ax.set_xlabel("t")
-            ax.set_ylabel("J(t v0)")
-            save(fig, "ray.png")
     return paths
 
 
@@ -618,9 +571,9 @@ def _render_plots(report: dict, out_dir: Path) -> list[Path]:
 def run(config: dict, plots: bool = False) -> tuple[int, dict, list[Path]]:
     """Execute one campaign; write report + CSVs; return (exit code, report, files)."""
     kind = config["kind"]
-    if kind not in _RUNNERS:
+    if kind not in _CAMPAIGNS:
         raise SystemExit(f"unknown kind {kind!r}")
-    results, checks = _RUNNERS[kind](config["params"])
+    results, checks = _CAMPAIGNS[kind].run(config["params"])
     report = {
         "schema": SCHEMA,
         "kind": kind,
@@ -649,8 +602,8 @@ def main(argv=None) -> int:
         prog="heislab",
         description="Heisenberg-group spectral and variational campaigns",
     )
-    sub = parser.add_subparsers(dest="kind", required=True, metavar="|".join(KINDS))
-    for kind in KINDS:
+    sub = parser.add_subparsers(dest="kind", required=True, metavar="|".join(_CAMPAIGNS))
+    for kind in _CAMPAIGNS:
         sp = sub.add_parser(kind, help=f"run the {kind} campaign")
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output directory (default $HEISLAB_OUT)")

@@ -2,12 +2,16 @@
 
 Oracles: hand-written config files and flag dictionaries with known
 precedence outcomes, byte comparison of repeated runs for reproducibility,
-and the documented CSV headers / report schema as the emission contract.
+the documented CSV headers / report schema as the emission contract, exact
+CSV bytes from hand-built reports, and a recording stand-in for matplotlib.
 Campaign parameters are chosen small enough that every check passes at
 desk scale, so the exit-status contract can be asserted both ways.
 """
 
 import json
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +72,27 @@ def test_resolve_config_grid_flag():
     assert cfg["params"]["counts"] == 13
     cfg = cli.resolve_config("solve", None, {"grid": "9,9,9"})
     assert cfg["params"]["counts"] == [9, 9, 9]
+    # like --tau and --lambda, --grid applies only where the kind has a grid
+    cfg = cli.resolve_config("gram", None, {"grid": "9"})
+    assert "counts" not in cfg["params"]
+    with pytest.raises(SystemExit, match="--grid"):
+        cli.resolve_config("gram", None, {"grid": "abc"})
+
+
+def test_resolve_config_rejects_differing_counts_from_a_flag(tmp_path):
+    with pytest.raises(SystemExit, match=r"counts \[9, 11, 13\] differ"):
+        cli.resolve_config("folland-stein", None, {"grid": "9,11,13"})
+    with pytest.raises(SystemExit, match=r"counts \[9, 41\] differ"):
+        cli.main(["spectra", "--grid", "9,41", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()  # rejected before any computation
+
+
+def test_resolve_config_rejects_differing_counts_from_a_config_file():
+    file_config = {"kind": "solve", "params": {"counts": [9, 9, 11]}}
+    with pytest.raises(SystemExit, match=r"counts \[9, 9, 11\] differ"):
+        cli.resolve_config("solve", file_config, {})
+    file_config = {"kind": "solve", "params": {"counts": [9, 9, 9]}}
+    assert cli.resolve_config("solve", file_config, {})["params"]["counts"] == [9, 9, 9]
 
 
 def test_resolve_config_lambda_flag_applies_where_meaningful():
@@ -395,3 +420,231 @@ def test_main_rejects_malformed_config(tmp_path):
 def test_main_requires_verb():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+# ---------------------------------------------------------------------------
+# emission from hand-built reports
+# ---------------------------------------------------------------------------
+
+_RESULTS = {
+    "spectra": {
+        "eigenvalues": [3.9, 4.1],
+        "ladder": {"kappa0": 4.0, "tau": -1.0, "centers": [4.0, 12.5]},
+        "residuals": [
+            {"j": 0, "k": 1, "scaling": 2.0, "angular_sign": 1, "residual": 0.003}
+        ],
+    },
+    "weyl": {
+        "widths": [2.0, 4.0],
+        "sigmas": [4.0, 16.0],
+        "tau0s": [0.1, 0.05],
+        "residuals": [0.2, 0.01],
+        "eigen_estimates": [4.1, 4.0],
+    },
+    "gram": {
+        "labels": [[0, 0], [0, 1]],
+        "matrix_real": [[1.0, 0.0], [0.0, 1.0]],
+        "matrix_imag": [[0.0, 0.25], [-0.25, 0.0]],
+        "raw_norms": [1.5, 2.5],
+    },
+    "folland-stein": {"history": [3.0, 2.5, 2.25]},
+    "solve": {
+        "ray": {"ts": [0.0, 1.0], "energies": [0.0, 0.5]},
+        "mountain_pass": {
+            "energies": [0.75, 0.5],
+            "gradient_norms": [0.1, 0.001],
+            "norms": [1.25, 1.5],
+        },
+    },
+    "conventions": {
+        "convention": {"scaling": 2.0, "angular_sign": 1, "residual": 0.001},
+        "bridge_sign_inverse": -1,
+        "bridge_sign_forward": 1,
+    },
+}
+
+_CSV_BYTES = {
+    "spectra": {
+        "eigenvalues.csv": b"index,eigenvalue\n0,3.9\n1,4.1\n",
+        "ladder.csv": (
+            b"k,center,model,rel_deviation\n"
+            b"0,4.0,4.0,0.0\n"
+            b"1,12.5,12.0,0.041666666666666664\n"
+        ),
+        "residuals.csv": b"j,k,scaling,angular_sign,residual\n0,1,2.0,1,0.003\n",
+    },
+    "weyl": {
+        "weyl.csv": (
+            b"width,sigma,tau0,residual,eigen_estimate\n"
+            b"2.0,4.0,0.1,0.2,4.1\n"
+            b"4.0,16.0,0.05,0.01,4.0\n"
+        ),
+    },
+    "gram": {
+        "gram.csv": (
+            b"row_j,row_k,col_j,col_k,real,imag\n"
+            b"0,0,0,0,1.0,0.0\n"
+            b"0,0,0,1,0.0,0.25\n"
+            b"0,1,0,0,0.0,-0.25\n"
+            b"0,1,0,1,1.0,0.0\n"
+        ),
+        "gram_norms.csv": b"j,k,raw_norm\n0,0,1.5\n0,1,2.5\n",
+    },
+    "folland-stein": {
+        "fs_history.csv": b"iteration,quotient\n0,3.0\n1,2.5\n2,2.25\n",
+    },
+    "solve": {
+        "ray.csv": b"t,energy\n0.0,0.0\n1.0,0.5\n",
+        "ps_log.csv": (
+            b"iteration,energy,gradient_norm,hw_norm\n"
+            b"0,0.75,0.1,1.25\n"
+            b"1,0.5,0.001,1.5\n"
+        ),
+    },
+    "conventions": {
+        "conventions.csv": (
+            b"scaling,angular_sign,residual,bridge_sign_inverse,bridge_sign_forward\n"
+            b"2.0,1,0.001,-1,1\n"
+        ),
+    },
+}
+
+
+def _emit(tmp_path, kind, results):
+    report = {"schema": cli.SCHEMA, "kind": kind, "results": results}
+    paths = cli.emit_csv(report, tmp_path)
+    return {p.name: p.read_bytes() for p in paths}
+
+
+@pytest.mark.parametrize("kind", sorted(_CSV_BYTES))
+def test_emit_csv_exact_bytes(tmp_path, kind):
+    written = _emit(tmp_path, kind, _RESULTS[kind])
+    assert list(written) == list(_CSV_BYTES[kind])
+    assert written == _CSV_BYTES[kind]
+
+
+def test_emit_csv_spectra_without_ladder_writes_its_header(tmp_path):
+    written = _emit(tmp_path, "spectra", dict(_RESULTS["spectra"], ladder=None))
+    assert written["ladder.csv"] == b"k,center,model,rel_deviation\n"
+    assert written["eigenvalues.csv"] == _CSV_BYTES["spectra"]["eigenvalues.csv"]
+    assert written["residuals.csv"] == _CSV_BYTES["spectra"]["residuals.csv"]
+
+
+def test_emit_csv_solve_without_ray_or_mountain_pass_writes_headers(tmp_path):
+    written = _emit(tmp_path, "solve", {"exponents": {"all_ok": False}})
+    assert written == {
+        "ray.csv": b"t,energy\n",
+        "ps_log.csv": b"iteration,energy,gradient_norm,hw_norm\n",
+    }
+
+
+def test_emit_csv_conventions_without_convention_writes_its_header(tmp_path):
+    written = _emit(tmp_path, "conventions", dict(_RESULTS["conventions"], convention=None))
+    assert written == {
+        "conventions.csv": (
+            b"scaling,angular_sign,residual,bridge_sign_inverse,bridge_sign_forward\n"
+        )
+    }
+
+
+# ---------------------------------------------------------------------------
+# --plots, against a recording stand-in for matplotlib
+# ---------------------------------------------------------------------------
+
+
+class _RecordingAxes:
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: self.calls.append((name, args, kwargs))
+
+
+class _RecordingFigure:
+    def __init__(self, axes, saved):
+        self.axes, self.saved = axes, saved
+
+    def savefig(self, path, **kwargs):
+        Path(path).write_bytes(b"png")
+        self.saved[Path(path).name] = (self.axes.calls, kwargs)
+
+
+@pytest.fixture
+def fake_matplotlib(monkeypatch):
+    saved = {}  # PNG name -> (axes calls, savefig keywords)
+
+    def subplots():
+        ax = _RecordingAxes()
+        return _RecordingFigure(ax, saved), ax
+
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = subplots
+    pyplot.close = lambda fig: None
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.use = lambda backend: None
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    return saved
+
+
+def _labels(x, y):
+    return [("set_xlabel", (x,), {}), ("set_ylabel", (y,), {})]
+
+
+_PLOTS = {
+    "spectra": {
+        "eigenvalues.png": [
+            ("plot", ([3.9, 4.1],), {"marker": ".", "linestyle": "none"}),
+            *_labels("index", "eigenvalue"),
+        ],
+    },
+    "weyl": {
+        "weyl.png": [
+            ("loglog", ([2.0, 4.0], [0.2, 0.01]), {"marker": "o"}),
+            *_labels("envelope width", "residual"),
+        ],
+    },
+    "folland-stein": {
+        "fs_history.png": [
+            ("semilogy", ([3.0, 2.5, 2.25],), {}),
+            *_labels("iteration", "quotient"),
+        ],
+    },
+    "solve": {
+        "ps_log.png": [
+            ("semilogy", ([0.1, 0.001],), {}),
+            *_labels("iteration", "gradient norm"),
+        ],
+        "ray.png": [
+            ("plot", ([0.0, 1.0], [0.0, 0.5]), {}),
+            *_labels("t", "J(t v0)"),
+        ],
+    },
+    "gram": {},
+    "conventions": {},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PLOTS))
+def test_render_plots_writes_each_kinds_pngs(tmp_path, fake_matplotlib, kind):
+    report = {"schema": cli.SCHEMA, "kind": kind, "results": _RESULTS[kind]}
+    paths = cli._render_plots(report, tmp_path)
+    assert [p.name for p in paths] == list(_PLOTS[kind])
+    assert all(p.exists() for p in paths)
+    assert {name: calls for name, (calls, _) in fake_matplotlib.items()} == _PLOTS[kind]
+    assert all(kwargs == {"dpi": 120} for _, kwargs in fake_matplotlib.values())
+
+
+def test_main_plots_flag_renders_through_matplotlib(tmp_path, fake_matplotlib):
+    assert cli.main(["folland-stein", "--grid", "9", "--out", str(tmp_path), "--plots"]) == 0
+    assert (tmp_path / "fs_history.png").read_bytes() == b"png"
+    assert list(fake_matplotlib) == ["fs_history.png"]
+
+
+def test_render_plots_warns_without_matplotlib(tmp_path, monkeypatch):
+    monkeypatch.setitem(sys.modules, "matplotlib", None)
+    report = {"schema": cli.SCHEMA, "kind": "spectra", "results": _RESULTS["spectra"]}
+    with pytest.warns(UserWarning, match="matplotlib unavailable"):
+        assert cli._render_plots(report, tmp_path) == []
+    assert not list(tmp_path.iterdir())

@@ -128,8 +128,12 @@ def resolve_config(kind: str, file_config: dict | None, flags: dict) -> dict:
         if "counts" in params:
             params["counts"] = counts[0] if len(counts) == 1 else list(counts)
     counts = params.get("counts")
-    if isinstance(counts, (list, tuple)) and len(set(counts)) > 1:
-        raise SystemExit(f"counts {list(counts)} differ; every axis takes the same count")
+    if isinstance(counts, (list, tuple)):
+        axes = _CAMPAIGNS[kind].axes(params)
+        if len(counts) not in (1, axes):
+            raise SystemExit(f"{kind} takes 1 or {axes} counts, one per grid axis; got {list(counts)}")
+        if len(set(counts)) > 1:
+            raise SystemExit(f"counts {list(counts)} differ; every axis takes the same count")
     params["seed"] = seed
     return {"schema": SCHEMA, "kind": kind, "seed": seed, "out": out, "params": params}
 
@@ -161,27 +165,29 @@ def _jsonable(obj):
 
 
 class _Campaign(NamedTuple):
-    """One verb: its default parameters, runner, CSV tables and plots.
+    """One verb: its default parameters, runner, CSV tables, plots and grid axes.
 
     A table is (file, header line, rows from ``results``).  A plot is (file,
     x, y, axes method, x label, y label, style) and draws
     ``ax.<method>([x,] y, **style)``; x and y are key paths into ``results``,
-    x None plots y against its index, and an empty y draws nothing.
+    x None plots y against its index, and an empty y draws nothing.  ``axes``
+    maps the params to the number of grid axes that ``counts`` sets.
     """
 
     defaults: dict
     run: Callable[[dict], tuple[dict, dict]]
     tables: tuple
     plots: tuple
+    axes: Callable[[dict], int] | None
 
 
 _CAMPAIGNS: dict[str, _Campaign] = {}
 
 
-def _campaign(kind: str, defaults: dict, tables: tuple, plots: tuple = ()):
+def _campaign(kind: str, defaults: dict, tables: tuple, plots: tuple = (), axes=None):
     """Register the decorated runner as campaign ``kind``; ``--help`` keeps this order."""
     def register(run):
-        _CAMPAIGNS[kind] = _Campaign(defaults, run, tables, plots)
+        _CAMPAIGNS[kind] = _Campaign(defaults, run, tables, plots, axes)
         return run
     return register
 
@@ -246,6 +252,7 @@ def _ladder_rows(results: dict) -> list:
         ("eigenvalues.png", None, "eigenvalues", "plot", "index", "eigenvalue",
          {"marker": ".", "linestyle": "none"}),
     ),
+    axes=lambda p: 2,
 )
 def _run_spectra(p: dict) -> tuple[dict, dict]:
     grid = BoxGrid.cube(float(p["half"]), _count(p), 2)
@@ -308,6 +315,7 @@ def _run_spectra(p: dict) -> tuple[dict, dict]:
         ("weyl.png", "widths", "residuals", "loglog", "envelope width", "residual",
          {"marker": "o"}),
     ),
+    axes=lambda p: 2,  # the t axis always has 3 nodes
 )
 def _run_weyl(p: dict) -> tuple[dict, dict]:
     widths = [float(w) for w in p["widths"]]
@@ -367,6 +375,7 @@ def _run_gram(p: dict) -> tuple[dict, dict]:
         ("fs_history.csv", "iteration,quotient", _columns("history", index=True)),
     ),
     plots=(("fs_history.png", None, "history", "semilogy", "iteration", "quotient", {}),),
+    axes=lambda p: 3,
 )
 def _run_folland_stein(p: dict) -> tuple[dict, dict]:
     grid = BoxGrid.cube(float(p["half"]), _count(p), 3)
@@ -423,6 +432,7 @@ def _build_problem(p: dict) -> KirchhoffProblem:
          "iteration", "gradient norm", {}),
         ("ray.png", "ray.ts", "ray.energies", "plot", "t", "J(t v0)", {}),
     ),
+    axes=lambda p: 2 * int(p["n"]) + 1,
 )
 def _run_solve(p: dict) -> tuple[dict, dict]:
     problem = _build_problem(p)
@@ -485,6 +495,7 @@ def _conventions_rows(results: dict) -> list:
          "scaling,angular_sign,residual,bridge_sign_inverse,bridge_sign_forward",
          _conventions_rows),
     ),
+    axes=lambda p: 2,
 )
 def _run_conventions(p: dict) -> tuple[dict, dict]:
     grid = BoxGrid.cube(float(p["half"]), _count(p), 2)
@@ -608,7 +619,7 @@ def main(argv=None) -> int:
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output directory (default $HEISLAB_OUT)")
         sp.add_argument("--seed", type=int, help="random seed")
-        sp.add_argument("--grid", help="grid counts: 'n' or 'n1,n2,n3'")
+        sp.add_argument("--grid", help="grid counts: 'n', or one per grid axis")
         sp.add_argument("--tau", type=float, help="vertical frequency")
         sp.add_argument("--lambda", dest="lam", type=float, help="problem parameter")
         sp.add_argument("--plots", action="store_true", help="render static plots")

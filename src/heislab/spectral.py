@@ -387,9 +387,6 @@ _QR_LIMIT = 1e-6
 # _PROBE_WIDTH wide until the first one sizes them by inertia.
 _RR_EVERY = 4
 _PROBE_WIDTH = 8
-# The residual check forms A v - v lambda, and the sector merge U y, this
-# many columns at a time.
-_RESIDUAL_COLUMNS = 64
 
 
 def _cholesky_qr(Y: np.ndarray, shift: float = 0.0, limit: float = 0.0) -> bool:
@@ -438,6 +435,13 @@ def _column_norms(V: np.ndarray) -> np.ndarray:
         return np.sqrt(np.einsum("ij,ij->j", V, V))
     re, im = V.real, V.imag
     return np.sqrt(np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im))
+
+
+def _residuals(S, w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``||S x - w x||`` for each pair (w, x) of w and the unit columns of X."""
+    R = S @ X
+    R -= X * w
+    return _column_norms(R)
 
 
 class _Basis:
@@ -539,9 +543,7 @@ def _krylov(S, want: int, floor: float, residual_bound: float, rng, basis: _Basi
                 raise EigensolverError(f"Rayleigh-Ritz eigensolve failed (LAPACK info {info})")
             theta = theta[:top]
             X = gemm(1.0, V[:, :k], Y)
-            R = S @ X
-            R -= X * theta
-            res = _column_norms(R)
+            res = _residuals(S, theta, X)
             worst = res.max()
             if top == want and worst <= residual_bound:
                 return theta, X, width
@@ -617,24 +619,15 @@ def _krylov_pairs(blocks, m: int, floor: float, residual_bound: float, seed: int
 
 
 def _lowest_pairs(A: sp.csr_matrix, m: int, residual_bound: float, seed: int):
-    """m smallest eigenpairs of A, per real rotation sector where A has them."""
+    """m smallest eigenvalues of A and their residuals in the blocks solved:
+    the real rotation sectors where A has them, else A itself."""
     bases = _rotation_sectors(A)
-    if bases is None:
-        vals, vecs = _krylov_pairs([A], m, _gershgorin_floor(A), residual_bound, seed)[0]
-        return vals[:m], vecs[:, :m]
-    blocks = [(U.conj().T @ (A @ U)).real for U in bases]
+    blocks = [A] if bases is None else [(U.conj().T @ (A @ U)).real for U in bases]
     parts = _krylov_pairs(blocks, m, _gershgorin_floor(A), residual_bound, seed)
     vals = np.concatenate([w for w, _ in parts])
-    owner = np.concatenate([np.full(w.size, b) for b, (w, _) in enumerate(parts)])
-    local = np.concatenate([np.arange(w.size) for w, _ in parts])
+    res = np.concatenate([_residuals(S, w, X) for S, (w, X) in zip(blocks, parts)])
     order = np.argsort(vals, kind="stable")[:m]
-    vecs = np.empty((A.shape[0], m), dtype=np.complex128)
-    for b, (U, (_, y)) in enumerate(zip(bases, parts)):
-        take = np.flatnonzero(owner[order] == b)
-        for j in range(0, take.size, _RESIDUAL_COLUMNS):
-            cols = take[j:j + _RESIDUAL_COLUMNS]
-            vecs[:, cols] = U @ y[:, local[order[cols]]]
-    return vals[order], vecs
+    return vals[order], res[order]
 
 
 def lowest_eigenvalues(
@@ -644,10 +637,15 @@ def lowest_eigenvalues(
     dense_cutoff: int = 3000,
     residual_bound: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """m smallest eigenvalues (ascending) and eigenvectors of a Hermitian operator.
+    """m smallest eigenvalues (ascending) of a Hermitian operator and their residuals.
 
     The result is the m smallest eigenvalues counting multiplicity: a level
     that is degenerate to rounding contributes every copy below the cut.
+    The second array holds each pair's residual ``||B x - lambda x||`` (x a
+    unit vector) in the block B it was solved in: A on the dense path and
+    without the rotation symmetry, else the sector ``S_q = U_q^H A U_q``.
+    U_q is orthonormal with ``A U_q = U_q S_q``, so ``U_q x`` has the same
+    residual in A; it is never formed.  No vector outlives the residuals.
 
     Paths: a dense solve at dimension ``<= dense_cutoff`` (also the oracle
     path).  Above it, one shift-invert block Krylov solve (``_krylov_pairs``)
@@ -660,11 +658,10 @@ def lowest_eigenvalues(
     the merged cut exceeds its values there is solved again with its pairs
     locked in.  The random columns are drawn from ``seed``.
 
-    Every returned pair is residual-checked, ``_RESIDUAL_COLUMNS`` columns
-    at a time: ||A v - lambda v|| / ||v|| <= residual_bound.  Every result
-    above the dense cutoff is certified by Sylvester inertia: the number of
-    eigenvalues of A below ``lambda_m - residual_bound`` must equal the
-    number of returned values below it.
+    Every residual must be ``<= residual_bound``.  Every result above the
+    dense cutoff is certified by Sylvester inertia of A: the number of its
+    eigenvalues below ``lambda_m - residual_bound`` must equal the number
+    of returned values below it.
 
     Raises ``ValueError`` unless 0 < m < dim, and ``EigensolverError`` when
     a Krylov solve does not converge, a pair misses the residual bound, or
@@ -675,19 +672,10 @@ def lowest_eigenvalues(
     if not 0 < m < dim:
         raise ValueError(f"need 0 < m < dim, got m={m}, dim={dim}")
     if dim <= dense_cutoff:
-        dense = A.toarray()
-        vals, vecs = scipy.linalg.eigh(dense)
-        vals, vecs = vals[:m], vecs[:, :m]
+        vals, vecs = scipy.linalg.eigh(A.toarray())
+        vals, res = vals[:m], _residuals(A, vals[:m], vecs[:, :m])
     else:
-        vals, vecs = _lowest_pairs(A.tocsr(), m, residual_bound, seed)
-    vals = np.real(vals)
-    res = np.empty(m)
-    for j in range(0, m, _RESIDUAL_COLUMNS):
-        cols = slice(j, j + _RESIDUAL_COLUMNS)
-        v = vecs[:, cols]
-        r = A @ v
-        r -= v * vals[cols]
-        res[cols] = _column_norms(r) / _column_norms(v)
+        vals, res = _lowest_pairs(A.tocsr(), m, residual_bound, seed)
     bad = np.flatnonzero(res > residual_bound)
     if bad.size:
         i = bad[0]
@@ -703,7 +691,7 @@ def lowest_eigenvalues(
                 f"inertia certificate failed: the operator has {below} "
                 f"eigenvalues below {cut:.10g}, the solve returned {returned}"
             )
-    return vals, vecs
+    return vals, res
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,38 @@ def test_resolve_config_rejects_differing_counts_from_a_config_file():
     assert cli.resolve_config("solve", file_config, {})["params"]["counts"] == [9, 9, 9]
 
 
+@pytest.mark.parametrize("kind, grid, axes", [
+    ("spectra", "9,9,9", 2), ("weyl", "71,71,71", 2), ("conventions", "41,41,41", 2),
+    ("folland-stein", "9,9", 3), ("solve", "9,9", 3), ("solve", "9,9,9,9,9", 3),
+])
+def test_resolve_config_rejects_a_count_per_wrong_number_of_axes_from_a_flag(kind, grid, axes):
+    with pytest.raises(SystemExit, match=rf"{kind} takes 1 or {axes} counts, one per grid axis"):
+        cli.resolve_config(kind, None, {"grid": grid})
+    single = grid.split(",")[0]
+    assert cli.resolve_config(kind, None, {"grid": single})["params"]["counts"] == int(single)
+
+
+def test_resolve_config_rejects_a_count_per_wrong_number_of_axes_from_a_config_file():
+    # solve takes 2n + 1 counts: 5 on H_2, where the default 3 is too few
+    file_config = {"kind": "solve", "params": {"n": 2, "counts": [9, 9, 9]}}
+    with pytest.raises(SystemExit, match=r"solve takes 1 or 5 counts, .*got \[9, 9, 9\]"):
+        cli.resolve_config("solve", file_config, {})
+    file_config = {"kind": "solve", "params": {"n": 2, "counts": [9] * 5}}
+    assert cli.resolve_config("solve", file_config, {})["params"]["counts"] == [9] * 5
+    file_config = {"kind": "spectra", "params": {"counts": [45]}}  # a single count
+    assert cli.resolve_config("spectra", file_config, {})["params"]["counts"] == [45]
+
+
+def test_main_rejects_a_count_per_wrong_number_of_axes_before_any_output(tmp_path):
+    with pytest.raises(SystemExit, match=r"folland-stein takes 1 or 3 counts"):
+        cli.main(["folland-stein", "--grid", "9,9", "--out", str(tmp_path / "out")])
+    config = tmp_path / "weyl.json"
+    config.write_text(json.dumps({"kind": "weyl", "params": {"counts": [71, 71, 71]}}))
+    with pytest.raises(SystemExit, match=r"weyl takes 1 or 2 counts"):
+        cli.main(["weyl", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()  # rejected before any computation
+
+
 def test_resolve_config_lambda_flag_applies_where_meaningful():
     cfg = cli.resolve_config("solve", None, {"lam": 25.0})
     assert cfg["params"]["lam"] == 25.0

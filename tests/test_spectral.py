@@ -7,11 +7,14 @@ dense-solvable grid size, and closed-form residual/convergence measurements.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from heislab import (
     BoxGrid,
@@ -117,18 +120,23 @@ def test_flat_lowest_band_at_dense_solvable_size():
     # up as ~70 near-identical eigenvalues just below 4, with the next level
     # near 11-12 (box-edge states fill part of the gap)
     grid = BoxGrid((-6.0, -6.0), (6.0, 6.0), (45, 45))
-    vals, vecs = lowest_eigenvalues(assemble_twisted(1.0, grid), 140)
+    vals, res = lowest_eigenvalues(assemble_twisted(1.0, grid), 140)
     assert 3.7 <= vals[0] <= 4.0
     assert vals[59] - vals[0] <= 0.02
     below_gap = int(np.searchsorted(vals, 4.5))
     assert 60 <= below_gap <= 100
     assert 10.5 <= vals[100] <= 11.9
-    assert vecs.shape == (grid.node_count, 140)
+    _assert_residuals(res, 140)
 
 
 # ---------------------------------------------------------------------------
 # eigensolver
 # ---------------------------------------------------------------------------
+
+
+def _assert_residuals(res, m):
+    assert res.shape == (m,)
+    assert np.all(res <= 1e-8)  # the default residual bound
 
 
 def _dirichlet_1d(n_interior: int, h: float) -> sp.csr_matrix:
@@ -162,9 +170,9 @@ def test_sector_path_matches_dense_path_with_degenerate_levels():
     grid = BoxGrid((-6.0, -6.0), (6.0, 6.0), (45, 45))
     A = assemble_twisted(1.0, grid)
     dense_vals, _ = lowest_eigenvalues(A, 140)
-    sector_vals, vecs = lowest_eigenvalues(A, 140, dense_cutoff=10)
+    sector_vals, res = lowest_eigenvalues(A, 140, dense_cutoff=10)
     np.testing.assert_allclose(sector_vals, dense_vals, rtol=0, atol=1e-9)
-    assert vecs.shape == (grid.node_count, 140)
+    _assert_residuals(res, 140)
 
 
 def test_inertia_count_matches_dense_count():
@@ -184,10 +192,43 @@ def test_rotation_sectors_need_the_symmetry():
     assert [U.shape[1] for U in bases] == [273, 272, 272, 272]
 
 
+@pytest.mark.parametrize("n, tau", [(n, tau) for n in (33, 65) for tau in (0.5, 1.0, 2.0)])
+def test_rotation_sectors_are_invariant(n, tau):
+    # A U_q = U_q S_q with S_q = U_q^H A U_q, to the tolerance of the symmetry
+    # test itself: a sector pair's residual ||S_q y - theta y|| is then that of
+    # the pair (theta, U_q y) of A, to within ||A U_q - U_q S_q||_2
+    grid = BoxGrid((-8.0, -8.0), (8.0, 8.0), (n, n))
+    A = assemble_twisted(tau, grid)
+    tol = 8.0 * np.finfo(float).eps * spectral._max_abs(A)
+    for U in _rotation_sectors(A):
+        E = A @ U - U @ (U.conj().T @ (A @ U)).real
+        assert spectral._max_abs(E) <= tol
+        assert sp.linalg.norm(E) <= 1e-4 * 1e-8  # Frobenius, against the residual bound
+
+
+def test_perturbed_sector_pair_fails_residual_check(monkeypatch):
+    # exact pairs of each sector from a dense solve, except that one vector
+    # in sector 2 is perturbed: the check in the sector must name that pair
+    grid = BoxGrid((-6.0, -6.0), (6.0, 6.0), (33, 33))
+    A = assemble_twisted(1.0, grid)
+    m, share, bad = 100, 25, 7
+    parts = []
+    for S in [(U.conj().T @ (A @ U)).real.toarray() for U in _rotation_sectors(A)]:
+        w, X = np.linalg.eigh(S)
+        parts.append((w[:share], X[:, :share]))
+    parts[2][1][:, bad] += 1e-6 * np.random.default_rng(0).standard_normal(parts[2][1].shape[0])
+    monkeypatch.setattr(spectral, "_krylov_pairs", lambda *args: parts)
+    merged = np.argsort(np.concatenate([w for w, _ in parts]), kind="stable")
+    index = int(np.flatnonzero(merged == 2 * share + bad)[0])
+    assert index < m
+    with pytest.raises(EigensolverError, match=rf"eigenpair {index} residual \S+ exceeds 1\.0e-08"):
+        lowest_eigenvalues(A, m, dense_cutoff=10)
+
+
 def test_block_result_missing_a_copy_fails_certificate(monkeypatch):
     N, h = 1200, 1.0 / 1201.0
     A = _dirichlet_1d(N, h)
-    vals, vecs = lowest_eigenvalues(A, 6, dense_cutoff=2000)
+    vals, vecs = scipy.linalg.eigh(A.toarray(), subset_by_index=[0, 5])
     keep = [0, 1, 2, 3, 5]  # exact pairs, but the fifth eigenvalue is skipped
 
     def fake_pairs(*args, **kwargs):
@@ -206,9 +247,9 @@ def test_operator_without_symmetry_keeps_every_copy(monkeypatch):
     A = assemble_twisted(1.0, grid)
     dense_vals, _ = lowest_eigenvalues(A, 140)
     monkeypatch.setattr(spectral, "_rotation_sectors", lambda A: None)
-    krylov_vals, vecs = lowest_eigenvalues(A, 140, dense_cutoff=10)
+    krylov_vals, res = lowest_eigenvalues(A, 140, dense_cutoff=10)
     np.testing.assert_allclose(krylov_vals, dense_vals, rtol=0, atol=1e-9)
-    assert vecs.shape == (grid.node_count, 140)
+    _assert_residuals(res, 140)
 
 
 def _count_dense_eigh(monkeypatch) -> list:
@@ -238,10 +279,25 @@ def test_small_m_sector_path_matches_sector_dense_path(monkeypatch, tau):
     grid = BoxGrid((-8.0, -8.0), (8.0, 8.0), (65, 65))
     A = assemble_twisted(tau, grid)
     calls = _count_dense_eigh(monkeypatch)
-    sector_vals, vecs = lowest_eigenvalues(A, 30)
+    sector_vals, res = lowest_eigenvalues(A, 30)
     assert calls == []
     np.testing.assert_allclose(sector_vals, _dense_sector_values(A, 30), rtol=0, atol=1e-12)
-    assert vecs.shape == (grid.node_count, 30)
+    _assert_residuals(res, 30)
+
+
+def test_sector_solve_never_holds_an_eigenvector_block():
+    # the m eigenvectors of A as one complex block would take dim * m * 16
+    # bytes; the values-only solve must peak below twice that
+    grid = BoxGrid((-8.0, -8.0), (8.0, 8.0), (65, 65))
+    A = assemble_twisted(1.0, grid)
+    m = 130
+    tracemalloc.start()
+    try:
+        lowest_eigenvalues(A, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * grid.node_count * m * 16
 
 
 def test_small_m_sector_solve_factors_at_most_17_times(monkeypatch):

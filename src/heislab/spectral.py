@@ -445,11 +445,14 @@ def _residuals(S, w: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 class _Basis:
-    """One growing Fortran-ordered work array for the Krylov bases of every block.
+    """One Fortran-ordered work array for the Krylov bases of every block.
 
     ``view(n, cols, keep)`` returns an n x cols view of the array's prefix
-    that keeps the first ``keep`` columns of the last view with n rows: they
-    are the same leading ``n * keep`` entries, so growing copies only those.
+    that keeps the first ``keep`` columns of the last view with n rows.  The
+    array is made n x n, the most an n-row basis uses, so no solve regrows
+    and copies it: whether a copy set the peak memory hung on the random
+    start.  Only the pages written take memory.  Where that address space
+    is refused, the array is made at the size asked.
     """
 
     def __init__(self, dtype):
@@ -457,7 +460,10 @@ class _Basis:
 
     def view(self, n: int, cols: int, keep: int = 0) -> np.ndarray:
         if n * cols > self.flat.size:
-            grown = np.empty(n * cols, dtype=self.flat.dtype)
+            try:
+                grown = np.empty(n * n, dtype=self.flat.dtype)
+            except MemoryError:
+                grown = np.empty(n * cols, dtype=self.flat.dtype)
             grown[: n * keep] = self.flat[: n * keep]
             self.flat = grown
         return self.flat[: n * cols].reshape((n, cols), order="F")

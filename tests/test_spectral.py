@@ -445,6 +445,44 @@ def test_krylov_basis_grows_past_an_invariant_subspace(dtype):
     assert np.linalg.norm(X.conj().T @ X - np.eye(70), 2) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_krylov_basis_is_made_once_whatever_the_seed(monkeypatch, seed):
+    # one n x n work array serves every sector, n the largest sector: a basis
+    # regrown as it filled held two copies while it copied, so the peak
+    # memory of a solve hung on whether its random start crossed a regrowth
+    grid = BoxGrid((-8.0, -8.0), (8.0, 8.0), (65, 65))
+    A = assemble_twisted(1.0, grid)
+    n = max(U.shape[1] for U in spectral._rotation_sectors(A))
+    made = []
+    view = spectral._Basis.view
+
+    def spy(self, rows, cols, keep=0):
+        V = view(self, rows, cols, keep)
+        if not any(flat is self.flat for flat in made):
+            made.append(self.flat)
+        return V
+
+    monkeypatch.setattr(spectral._Basis, "view", spy)
+    lowest_eigenvalues(A, 130, seed=seed)
+    assert [flat.size for flat in made] == [0, n * n]
+
+
+def test_krylov_basis_made_at_the_size_asked_when_n_by_n_is_refused(monkeypatch):
+    empty = np.empty
+
+    def refuse_n_by_n(size, dtype=float):
+        if size == 50 * 50:
+            raise MemoryError
+        return empty(size, dtype=dtype)
+
+    basis = spectral._Basis(float)
+    monkeypatch.setattr(spectral.np, "empty", refuse_n_by_n)
+    basis.view(50, 4)[:] = np.arange(4.0)
+    V = basis.view(50, 8, keep=4)
+    assert basis.flat.size == 50 * 8
+    np.testing.assert_array_equal(V[:, :4], np.tile(np.arange(4.0), (50, 1)))
+
+
 def test_large_m_takes_the_krylov_path(monkeypatch):
     # no dense eigh, and each sector is first solved for its share m / 4
     calls = _count_dense_eigh(monkeypatch)

@@ -145,23 +145,9 @@ class ScalarField:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def lp_norm(self, p: float) -> float:
-        """(sum |u|^p * prod h)^(1/p) over all nodes."""
-        if not p > 0:
-            raise ValueError(f"p must be positive, got {p}")
-        w = self.grid.cell_volume
-        return float((np.sum(np.abs(self.values) ** p) * w) ** (1.0 / p))
-
     def l2_norm(self) -> float:
         w = self.grid.cell_volume
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * w))
-
-    def l2_inner(self, other: "ScalarField") -> complex:
-        """<u, v> = sum conj(u) v * prod h."""
-        if self.grid != other.grid:
-            raise DimensionMismatchError("fields live on different grids")
-        val = np.sum(np.conjugate(self.values) * other.values) * self.grid.cell_volume
-        return complex(val)
 
 
 @dataclass(frozen=True)

@@ -111,14 +111,7 @@ class PolyField:
             terms[tuple(ne)] = terms.get(tuple(ne), 0.0) + c * k
         return PolyField(self.nvars, terms)
 
-    def conjugate(self) -> "PolyField":
-        return PolyField(self.nvars, {e: np.conjugate(c) for e, c in self.terms.items()})
-
     # -- queries ------------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -44,7 +44,6 @@ carry them sorted ascending.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -349,15 +348,21 @@ def _shifted_lu(A: sp.spmatrix, shift: float):
 
     With diagonal pivots only the factorization is ``P^T L D L^H P``; for
     Hermitian A the negative entries of D count the eigenvalues below the
-    shift (Sylvester).  The factor also solves ``(A - shift I) x = b``.
+    shift (Sylvester).  The factor also solves ``(A - shift I) x = b``.  A
+    shift that is an eigenvalue can leave an exactly zero pivot (a diagonal
+    A at its Gershgorin floor); SuperLU's refusal is raised as
+    ``EigensolverError`` naming the shift.
     """
     eye = sp.identity(A.shape[0], dtype=A.dtype, format="csc")
-    lu = spla.splu(
-        (A - shift * eye).tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+    try:
+        lu = spla.splu(
+            (A - shift * eye).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise EigensolverError(f"sparse LU at shift {shift:.10g} failed: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise EigensolverError(
             f"inertia factorization at shift {shift:.10g} pivoted off the "
@@ -387,6 +392,8 @@ _QR_LIMIT = 1e-6
 # _PROBE_WIDTH wide until the first one sizes them by inertia.
 _RR_EVERY = 4
 _PROBE_WIDTH = 8
+# A converged Ritz vector whose norm is off 1 by more than this is refused.
+_UNIT_DRIFT = 1e-8
 
 
 def _cholesky_qr(Y: np.ndarray, shift: float = 0.0, limit: float = 0.0) -> bool:
@@ -552,6 +559,14 @@ def _krylov(S, want: int, floor: float, residual_bound: float, rng, basis: _Basi
             res = _residuals(S, theta, X)
             worst = res.max()
             if top == want and worst <= residual_bound:
+                # the residuals assume unit vectors: a basis that lost
+                # orthonormality shrinks them under the bound
+                drift = np.abs(_column_norms(X) - 1.0).max()
+                if not drift <= _UNIT_DRIFT:
+                    raise EigensolverError(
+                        f"Ritz vectors in {where} are not unit vectors (| ||x|| - 1 | "
+                        f"up to {drift:.3e}): the Krylov basis lost orthonormality"
+                    )
                 return theta, X, width
             next_rr = step + _RR_EVERY
             if top == want:
@@ -682,7 +697,7 @@ def lowest_eigenvalues(
         vals, res = vals[:m], _residuals(A, vals[:m], vecs[:, :m])
     else:
         vals, res = _lowest_pairs(A.tocsr(), m, residual_bound, seed)
-    bad = np.flatnonzero(res > residual_bound)
+    bad = np.flatnonzero(~(res <= residual_bound))  # a NaN residual fails too
     if bad.size:
         i = bad[0]
         raise EigensolverError(
@@ -917,11 +932,7 @@ def gram_matrix(
     nodes = grid.node_count
     members = np.empty((nodes, len(labels)), dtype=np.complex128)
     for col, (j, k) in enumerate(labels):
-        fj = Profile1D.hermite(j, tau)
-        gk = Profile1D.hermite(k, tau)
-        members[:, col] = fourier_wigner_table(
-            fj, gk, tau, grid.axis(0), grid.axis(1)
-        ).ravel()
+        members[:, col] = tabulate_eigenfunction(j, k, tau, grid, scaling=1.0).values.ravel()
     w = grid.cell_volume
     raw = members.conj().T @ members * w
     norms = np.sqrt(np.real(np.diag(raw)))
@@ -987,7 +998,6 @@ def weyl_probe(
     probe_lambda: float | None = None,
     conv: FieldConvention = HN,
     tau0_start: float = 0.1,
-    refine_iters: int = 3,
 ) -> WeylProbeResult:
     """Approximate-eigenfunction residuals for lambda in the spectrum of L.
 
@@ -1029,7 +1039,7 @@ def weyl_probe(
         fiber = (K + (mu * tau0) * A + (tau0 * tau0) * C).tocsr()
         start = tabulate_eigenfunction(jj, kk, tau0, grid2d).values.ravel()
         target = kappa0 * (2 * kk + 1) * tau0
-        phi, ray = _refine_eigvec(fiber, start, target, iters=refine_iters)
+        phi, ray = _refine_eigvec(fiber, start, target)
         if _boundary_fraction(phi.reshape(grid2d.counts)) > 1e-3:
             raise ValueError(
                 "fiber eigenfunction does not decay inside the (x, y) box; "

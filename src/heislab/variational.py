@@ -445,61 +445,55 @@ class _RayProfile:
     def peak(self) -> tuple[float, float]:
         """(t*, phi(t*)) at the maximum of phi over t > 0.
 
-        When phi' changes sign on [1/2, 2], as it does after an accepted
-        descent step, whose peak sits near t = 1, safeguarded Newton steps on
-        phi' from t = 1 find the root: a step that leaves the sign-checked
-        bracket, or fails to halve the previous one, bisects the bracket
-        instead.  Otherwise the largest of 25 geometric samples on [1/8, 8]
-        (moved 256-fold toward an edge maximum) brackets a sign change of
-        phi', bisected in log t to double precision.
+        phi'(t)/t^(p-1) is a sum of four powers of t, so by Laguerre's rule
+        of signs phi' has at most as many positive roots as its coefficients,
+        ordered by exponent and with zeros skipped, have sign changes.  In
+        the growth window p kappa < r_g < p* they read (m0 T, c1 T^kappa,
+        -lambda r_g F, -C): one change, from + to -, and phi rises, then
+        falls.  No change (the zero field, or C = 0) has no interior peak,
+        and two or more (outside the window) are refused; both raise.  The
+        bracket [1/2, 2] is moved outward by doublings until phi' changes
+        sign on it, then safeguarded Newton steps on phi' from its geometric
+        centre (t = 1 when it did not move) find the root: a step that
+        leaves the sign-checked bracket, or fails to halve the previous one,
+        bisects the bracket instead.
         """
-        eps = np.finfo(float).eps
+        terms = sorted(self._terms, key=lambda term: term[1])
+        signs = [c > 0.0 for c, _ in terms if c != 0.0]
+        changes = sum(a != b for a, b in zip(signs, signs[1:]))
+        if changes > 1:
+            raise RuntimeError(
+                f"phi'(t) = {' '.join(f'{c:+.6g} t^{e:.6g}' for c, e in terms)} has "
+                f"{changes} coefficient sign changes: outside the growth window "
+                "p kappa < r_g < p* a ray may have several critical points"
+            )
         lo, hi = 0.5, 2.0
-        if self.slope(lo) > 0.0 > self.slope(hi):
-            t, last = 1.0, hi - lo
-            for _ in range(_NEWTON_STEPS):
-                d = self.slope(t)
-                if d == 0.0:
-                    break
-                if d > 0.0:
-                    lo = t
-                else:
-                    hi = t
-                step = d / self._curvature(t)
-                # a step below the resolution of t has converged; it may
-                # round onto the bracket's end
-                if abs(step) > 2.0 * eps * t and not (lo < t - step < hi and abs(2.0 * step) <= last):
-                    step = t - 0.5 * (lo + hi)
-                t, last = t - step, abs(step)
-                if last <= 2.0 * eps * t:
-                    break
-            return t, self.value(t)
-        lo, hi, bracket = 0.125, 8.0, None
-        for _ in range(60):
-            ts = [float(t) for t in np.geomspace(lo, hi, 25)]
-            try:
-                i = int(np.argmax([self.value(t) for t in ts]))
-            except OverflowError:
-                break
-            if i == 0:
-                hi, lo = ts[1], lo / 256.0
-            elif i == len(ts) - 1:
-                lo, hi = ts[-2], hi * 256.0
-            else:
-                bracket = ts[i - 1], ts[i + 1]
-                break
-        if bracket is None or not self.slope(bracket[0]) > 0.0 > self.slope(bracket[1]):
+        if changes:
+            while lo > 0.0 and not self.slope(lo) > 0.0:
+                lo, hi = 0.5 * lo, lo
+            while hi < math.inf and not self.slope(hi) < 0.0:
+                lo, hi = hi, 2.0 * hi
+        if not (changes and 0.0 < lo and hi < math.inf):
             raise RuntimeError(f"no interior ray peak (T = {self.T:.6g}, F = {self.F:.6g}, "
-                               f"C = {self.C:.6g}; last window [{lo:.3g}, {hi:.3g}])")
-        a, b = math.log(bracket[0]), math.log(bracket[1])
-        mid = 0.5 * (a + b)
-        while b - a > eps and a < mid < b:
-            if self.slope(math.exp(mid)) > 0.0:
-                a = mid
+                               f"C = {self.C:.6g})")
+        eps = np.finfo(float).eps
+        t, last = math.sqrt(lo * hi), hi - lo
+        for _ in range(_NEWTON_STEPS):
+            d = self.slope(t)
+            if d == 0.0:
+                break
+            if d > 0.0:
+                lo = t
             else:
-                b = mid
-            mid = 0.5 * (a + b)
-        t = math.exp(mid)
+                hi = t
+            step = d / self._curvature(t)
+            # a step below the resolution of t has converged; it may
+            # round onto the bracket's end
+            if abs(step) > 2.0 * eps * t and not (lo < t - step < hi and abs(2.0 * step) <= last):
+                step = t - 0.5 * (lo + hi)
+            t, last = t - step, abs(step)
+            if last <= 2.0 * eps * t:
+                break
         return t, self.value(t)
 
 
@@ -824,11 +818,15 @@ def mountain_pass_solve(
     (see :class:`_RayProfile`) and accepted on strict energy decrease, so
     every iterate's energy is the maximum of J along a path from 0 past the
     ridge and the descent cannot escape toward the functional's
-    unbounded-below region.  When every fibering map t -> J(t w) has exactly
-    one interior maximum, the least such level is the mountain-pass level
-    (Szulkin and Weth, "The method of Nehari manifold", Handbook of Nonconvex
-    Analysis, 2010), and at the constrained minimum the constraint is natural:
-    the full gradient vanishes.  Convergence needs the gradient norm down to
+    unbounded-below region.  Inside the growth window p kappa < r_g < p*
+    every fibering map t -> J(t w) has exactly one interior maximum: the
+    coefficients of its derivative, ordered by exponent, change sign once,
+    so by Laguerre's rule of signs it has one positive root
+    (:meth:`_RayProfile.peak`, which refuses a ray whose coefficients change
+    sign twice or more).  Then the least ray-peak level is the mountain-pass
+    level (Szulkin and Weth, "The method of Nehari manifold", Handbook of
+    Nonconvex Analysis, 2010), and at the constrained minimum the constraint
+    is natural: the full gradient vanishes.  Convergence needs the gradient norm down to
     5e-5 of its value at the first iterate (a 2e4-fold reduction of
     ``gradient_norms[0]``; stored as ``MPResult.tol``) and an energy tail
     that is Cauchy under :func:`ps_monitor`'s default window and tolerance,

@@ -535,6 +535,31 @@ def test_block_iteration_non_convergence_raises(monkeypatch):
         lowest_eigenvalues(assemble_twisted(1.0, grid), 30)
 
 
+def test_ritz_vectors_that_are_not_unit_raise():
+    # a 3 x 3 tridiagonal block beside 3 I_4997: the Krylov basis loses
+    # orthonormality, and Ritz vectors of norm about 1e-10 would pass the
+    # residual bound and the inertia certificate with values ~0, not 2.29, 3, 3
+    B = sp.diags([np.full(2, 0.5), np.full(3, 3.0), np.full(2, 0.5)], [-1, 0, 1])
+    A = sp.block_diag([B, 3.0 * sp.identity(4997)]).tocsr()
+    with pytest.raises(EigensolverError, match="Ritz vectors in the operator are not unit vectors"):
+        lowest_eigenvalues(A, 3)
+
+
+def test_nan_residual_fails_the_bound(monkeypatch):
+    monkeypatch.setattr(
+        spectral, "_lowest_pairs", lambda A, m, *args: (np.zeros(m), np.full(m, np.nan))
+    )
+    with pytest.raises(EigensolverError, match=r"eigenpair 0 residual nan exceeds"):
+        lowest_eigenvalues(_dirichlet_1d(1200, 1.0 / 1201.0), 5, dense_cutoff=10)
+
+
+def test_singular_shift_raises_eigensolver_error():
+    # the Gershgorin floor 0 of diag(0, 1, ..., 3999) is an eigenvalue, so
+    # the shifted factor has an exactly zero pivot
+    with pytest.raises(EigensolverError, match="sparse LU at shift 0 failed: Factor is exactly singular"):
+        lowest_eigenvalues(sp.diags(np.arange(4000.0)).tocsr(), 5)
+
+
 def _spectra_csv_bytes(tmp_path, params: dict, seed: int) -> list:
     runs = []
     for sub in ("a", "b"):

@@ -618,6 +618,47 @@ def test_ray_peak_matches_dense_energy_scan(case):
         _RayProfile(prob, T=1.0, F=0.0, C=0.0).peak()  # phi rises without bound
 
 
+def _closed_form_problem(kirchhoff=None, r_g=3.5):
+    # p = 2, p* = 4, lambda = 1 (a profile with F = 0 drops that term)
+    return KirchhoffProblem(
+        n=1, p=2.0, lam=1.0, kirchhoff=kirchhoff or KirchhoffM.nondegenerate(2.0),
+        nonlinearity=GrowthNonlinearity(r_g, r_g), grid=BoxGrid((-1.0,) * 3, (1.0,) * 3, (5,) * 3),
+    )
+
+
+@pytest.mark.parametrize("t_star", [1e3, 1e-5])
+def test_ray_peak_far_from_one_matches_closed_form(t_star):
+    # M = 2, T = 1, F = 0: phi(t) = t^2 - C t^4 / 4 peaks at t* = sqrt(2 / C)
+    # with value 1 / C; the bracket [1/2, 2] has to move about 2^10 or 2^-17
+    C = 2.0 / t_star**2
+    t, val = _RayProfile(_closed_form_problem(), T=1.0, F=0.0, C=C).peak()
+    assert t == pytest.approx(t_star, rel=1e-13)
+    assert val == pytest.approx(1.0 / C, rel=1e-13)
+
+
+def test_ray_peak_refuses_two_coefficient_sign_changes():
+    # degenerate M with p kappa = 3 > r_g = 2.5, outside the growth window:
+    # phi'(t) = -2.5 t^1.5 + t^2 - t^3 reads -, +, -
+    prob = _closed_form_problem(KirchhoffM.degenerate(1.0, 1.5), r_g=2.5)
+    assert not validate_exponents(prob)["checks"]["growth_window"]
+    with pytest.raises(RuntimeError, match="2 coefficient sign changes"):
+        _RayProfile(prob, T=1.0, F=1.0, C=1.0).peak()
+
+
+@pytest.mark.parametrize("case", list(RAY_PEAK_CASES))
+def test_ray_profile_coefficients_change_sign_once(case):
+    # Laguerre's rule of signs: inside the growth window the coefficients of
+    # phi', ordered by exponent and with zeros skipped, read + ... + - ... -
+    prob = _ray_case_problem(case)
+    assert validate_exponents(prob)["checks"]["growth_window"]
+    a = prob.nonlinearity.weight_values(prob.grid)
+    for seed in range(3):
+        ray = _RayProfile.of(random_dirichlet_field(prob.grid, seed=seed), prob, a)
+        signs = [np.sign(c) for c, _ in sorted(ray._terms, key=lambda term: term[1]) if c != 0.0]
+        assert signs[0] == 1.0 and signs[-1] == -1.0
+        assert np.count_nonzero(np.diff(signs)) == 1
+
+
 def _slope_sign_changes(prob, w):
     ray = _RayProfile.of(w, prob, prob.nonlinearity.weight_values(prob.grid))
     slopes = np.array([ray.slope(float(t)) for t in np.geomspace(1e-4, 1e4, 801)])

@@ -6,10 +6,14 @@ The package is organised around five layers:
 * ``grid``         -- box grids, scalar/horizontal-vector fields, serialization;
 * ``operators``    -- finite-difference left-invariant vector fields, sub-Laplacians,
                       twisted Laplacians, p-sub-Laplacians (plus an exact polynomial mode);
-* ``hermite``      -- Hermite functions, the unitary 1-d Fourier transform, and the
-                      Fourier-Wigner transform with its special-Hermite family;
-* ``spectral``     -- assembled twisted operators, Landau-ladder fits, eigenfunction
-                      residuals, convention adjudication, and Weyl sequence probes;
+* ``hermite``      -- Hermite functions (``hermite_poly``, ``hermite_fn``,
+                      ``hermite_fn_scaled``), the unitary 1-d Fourier transform
+                      (``fourier_transform_1d``), and the tabulated Fourier-Wigner
+                      transform (``fourier_wigner_table``);
+* ``spectral``     -- assembled twisted operators, Landau-ladder fits, the special
+                      Hermite family e_{j,k,tau} (tabulated by
+                      ``tabulate_eigenfunction``), eigenfunction residuals,
+                      convention adjudication, and Weyl sequence probes;
 * ``variational``  -- the Kirchhoff-type energy, its exact discrete gradient, grid
                       Folland-Stein constants, and a mountain-pass solver that descends
                       on the ray-peak (Nehari) set.
@@ -49,17 +53,11 @@ from .operators import (
 )
 from .polyfield import PolyField
 from .hermite import (
-    Profile1D,
-    SampledProfile,
-    WignerSpec,
     fourier_transform_1d,
-    fourier_wigner,
     hermite_fn,
     hermite_fn_scaled,
     hermite_poly,
     hermite_poly_rodrigues,
-    special_hermite,
-    special_hermite_field,
 )
 from .spectral import (
     ConventionChoice,

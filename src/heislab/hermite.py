@@ -14,38 +14,32 @@ Conventions implemented here (all of them load-bearing for the spectral lab):
 
       V_tau(f, g)(q, p) = (2 pi)^{-1/2} |tau|^{1/2} int e^{i tau q y} f(y - 2p) conj(g)(y + 2p) dy
 
-  (note the factor-2 shifts), and the special Hermite family
-  ``e_{j,k,tau} = V_tau(e_{j,tau}, e_{k,tau})``.
+  (note the factor-2 shifts).  ``fourier_wigner_table`` tabulates it on a
+  grid of (q, p) nodes; ``spectral.tabulate_eigenfunction`` applies it to the
+  special Hermite family ``e_{j,k,tau} = V_tau(e_{j,tau}, e_{k,tau})``.
 
-Quadrature is the trapezoid rule on [-L, L]; for smooth decaying integrands it
-is spectrally accurate.  Every quadrature checks the boundary integrand
-magnitude against 1e-14 and raises :class:`QuadratureTailError` on violation.
+Profiles are plain callables, vectorized over x.  Quadrature is the trapezoid
+rule on [-L, L]; for smooth decaying integrands it is spectrally accurate.
+Every quadrature checks the boundary integrand magnitude against 1e-14 and
+raises :class:`QuadratureTailError` on violation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .exceptions import QuadratureTailError
-from .grid import BoxGrid, ScalarField
 
 __all__ = [
-    "Profile1D",
-    "SampledProfile",
-    "WignerSpec",
     "hermite_poly",
     "hermite_poly_rodrigues",
     "hermite_fn",
     "hermite_fn_scaled",
     "fourier_transform_1d",
-    "fourier_wigner",
     "fourier_wigner_table",
-    "special_hermite",
-    "special_hermite_field",
 ]
 
 _TAIL_GUARD = 1e-14
@@ -124,50 +118,6 @@ def hermite_fn_scaled(k: int, tau: float, x) -> np.ndarray | float:
 
 
 # ---------------------------------------------------------------------------
-# 1-d profiles
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Profile1D:
-    """A 1-d profile: a callable sampled by quadratures (vectorized over x)."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
-
-    def __call__(self, x) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(x, dtype=float)))
-
-    @classmethod
-    def hermite(cls, k: int, tau: float = 1.0) -> "Profile1D":
-        return cls(lambda x: hermite_fn_scaled(k, tau, x), label=f"e[{k},{tau}]")
-
-
-@dataclass(frozen=True)
-class SampledProfile(Profile1D):
-    """A profile backed by samples on a sorted node set (linear interpolation)."""
-
-    x: np.ndarray = field(default=None)
-    values: np.ndarray = field(default=None)
-
-    def __init__(self, x: np.ndarray, values: np.ndarray, label: str = ""):
-        x = np.asarray(x, dtype=float)
-        values = np.asarray(values)
-        if x.ndim != 1 or x.shape != values.shape:
-            raise ValueError("SampledProfile needs matching 1-d x and values")
-        if values.dtype.kind == "c":
-            def fn(xq, _x=x, _v=values):
-                return np.interp(xq, _x, _v.real) + 1j * np.interp(xq, _x, _v.imag)
-        else:
-            def fn(xq, _x=x, _v=values):
-                return np.interp(xq, _x, _v)
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "values", values)
-
-
-# ---------------------------------------------------------------------------
 # quadrature helpers
 # ---------------------------------------------------------------------------
 
@@ -200,42 +150,26 @@ def _default_nodes(L: float, tau: float, qmax: float, band: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def fourier_transform_1d(
-    f: Profile1D | Callable,
-    xi: np.ndarray | None = None,
-    L: float | None = None,
-    N: int | None = None,
-) -> SampledProfile:
-    """fhat(xi) = (2 pi)^{-1/2} int e^{-i x xi} f(x) dx on requested xi nodes.
+def fourier_transform_1d(f: Callable, xi) -> np.ndarray:
+    """fhat(xi) = (2 pi)^{-1/2} int e^{-i x xi} f(x) dx at the nodes xi (complex array).
 
-    L auto-expands (doubling from 10) until |f(+-L)| < 1e-14; insufficient
-    decay is rejected with a diagnostic.
+    The half-width L doubles from 10 (at most five times) until
+    |f(+-L)| < 1e-14; insufficient decay is rejected with a diagnostic.
     """
-    fn = f if callable(f) else f.fn
-    if L is None:
-        L = 10.0
-        for _ in range(5):
-            if max(abs(complex(np.asarray(fn(np.array([-L])))[0])),
-                   abs(complex(np.asarray(fn(np.array([L])))[0]))) < _TAIL_GUARD:
-                break
-            L *= 2.0
-    tail = max(abs(complex(np.asarray(fn(np.array([-L])))[0])),
-               abs(complex(np.asarray(fn(np.array([L])))[0])))
-    if tail >= _TAIL_GUARD:
+    for L in (10.0 * 2.0**i for i in range(6)):
+        tail = float(np.max(np.abs(f(np.array([-L, L])))))
+        if tail < _TAIL_GUARD:
+            break
+    else:
         raise QuadratureTailError(
             f"integrand magnitude {tail:.3e} at the quadrature bounds +-{L:g} "
             f"exceeds the 1e-14 tail guard"
         )
-    if xi is None:
-        xi = np.linspace(-L, L, 801)
     xi = np.asarray(xi, dtype=float)
-    if N is None:
-        N = max(256, int(math.ceil(2.0 * L * (np.max(np.abs(xi)) + 12.0) / math.pi)))
+    N = max(256, int(math.ceil(2.0 * L * (np.max(np.abs(xi)) + 12.0) / math.pi)))
     x, w = _trapezoid_nodes(L, N)
-    fx = np.asarray(fn(x))
     kernel = np.exp(-1j * np.outer(xi, x))
-    vals = kernel @ (w * fx) / math.sqrt(2.0 * math.pi)
-    return SampledProfile(xi, vals, label="fourier")
+    return kernel @ (w * np.asarray(f(x))) / math.sqrt(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -244,39 +178,36 @@ def fourier_transform_1d(
 
 
 def fourier_wigner_table(
-    f: Profile1D | Callable,
-    g: Profile1D | Callable,
+    f: Callable,
+    g: Callable,
     tau: float,
     qs: np.ndarray,
     ps: np.ndarray,
     L: float | None = None,
-    N: int | None = None,
 ) -> np.ndarray:
     """V_tau(f,g) tabulated on the outer product of q-nodes and p-nodes.
 
-    Returns a complex array of shape (len(qs), len(ps)).  One trapezoid rule in
-    y is shared by all output nodes; the oscillatory factor is applied as a
-    (len(qs), N) matrix so the whole table is two dense products.
+    Returns a complex array of shape (len(qs), len(ps)).  One N-node trapezoid
+    rule on [-L, L] in y is shared by all output nodes; L defaults to
+    ``_default_halfwidth(tau)`` and N is always ``_default_nodes``.  The
+    oscillatory factor is applied as a (len(qs), N) matrix so the whole table
+    is two dense products.
     """
     if tau == 0:
         raise ValueError("Fourier-Wigner transform needs tau != 0")
-    ffn = f if callable(f) else f.fn
-    gfn = g if callable(g) else g.fn
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
     if L is None:
         L = _default_halfwidth(tau)
-    if N is None:
-        band = 14.0 * max(1.0, math.sqrt(abs(tau)))
-        N = _default_nodes(L, tau, float(np.max(np.abs(qs))), band)
+    band = 14.0 * max(1.0, math.sqrt(abs(tau)))
+    N = _default_nodes(L, tau, float(np.max(np.abs(qs))), band)
     y, w = _trapezoid_nodes(L, N)
 
     # product samples f(y - 2p) conj(g)(y + 2p): shape (N, len(ps))
     ym = y[:, None] - 2.0 * ps[None, :]
     yp = y[:, None] + 2.0 * ps[None, :]
-    prod = np.asarray(ffn(ym)) * np.conjugate(np.asarray(gfn(yp)))
-    guard = float(np.max(np.abs(prod[0, :])).item() if prod.size else 0.0)
-    guard = max(guard, float(np.max(np.abs(prod[-1, :])).item() if prod.size else 0.0))
+    prod = np.asarray(f(ym)) * np.conjugate(np.asarray(g(yp)))
+    guard = float(np.max(np.abs(prod[[0, -1], :]), initial=0.0))
     if guard >= _TAIL_GUARD:
         raise QuadratureTailError(
             f"Fourier-Wigner integrand magnitude {guard:.3e} at the quadrature "
@@ -285,85 +216,3 @@ def fourier_wigner_table(
     osc = np.exp(1j * tau * np.outer(qs, y))
     table = osc @ (w[:, None] * prod)
     return table * (math.sqrt(abs(tau)) / math.sqrt(2.0 * math.pi))
-
-
-def fourier_wigner(
-    f: Profile1D | Callable,
-    g: Profile1D | Callable,
-    tau: float,
-    q: float,
-    p: float,
-    L: float | None = None,
-    N: int | None = None,
-) -> complex:
-    """V_tau(f,g)(q,p) = (2 pi)^{-1/2} |tau|^{1/2} int e^{i tau q y} f(y-2p) conj(g)(y+2p) dy."""
-    table = fourier_wigner_table(f, g, tau, np.array([q]), np.array([p]), L=L, N=N)
-    return complex(table[0, 0])
-
-
-# ---------------------------------------------------------------------------
-# special Hermite family e_{j,k,tau}
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WignerSpec:
-    """Parameters of one special Hermite function e_{j,k,tau} = V_tau(e_{j,tau}, e_{k,tau}).
-
-    L and N default per tau (L = max(10, 10/sqrt|tau|); N from the aliasing
-    bound).  Construction checks that both scaled Hermite factors are below
-    1e-7 at +-L, so every product integrand clears the 1e-14 tail guard.
-    """
-
-    j: int
-    k: int
-    tau: float
-    L: float | None = None
-    N: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.j < 0 or self.k < 0:
-            raise ValueError("Hermite indices must be nonnegative")
-        if self.tau == 0:
-            raise ValueError("WignerSpec needs tau != 0")
-        if self.L is None:
-            object.__setattr__(self, "L", _default_halfwidth(self.tau))
-        if self.N is None:
-            band = math.sqrt(2.0 * max(self.j, self.k) + 1.0) * math.sqrt(abs(self.tau))
-            band += 12.0 * max(1.0, math.sqrt(abs(self.tau)))
-            object.__setattr__(
-                self, "N", _default_nodes(self.L, self.tau, 14.0 / math.sqrt(abs(self.tau)), band)
-            )
-        if self.N < 64:
-            raise ValueError("WignerSpec needs N >= 64")
-        for idx in (self.j, self.k):
-            edge = max(
-                abs(hermite_fn_scaled(idx, self.tau, -self.L)),
-                abs(hermite_fn_scaled(idx, self.tau, self.L)),
-            )
-            if edge >= 1e-7:
-                raise QuadratureTailError(
-                    f"scaled Hermite e_[{idx},{self.tau}] is {edge:.3e} at +-L={self.L:g}; "
-                    f"tail guard 1e-14 on the product integrand cannot be met"
-                )
-
-    def profiles(self) -> tuple[Profile1D, Profile1D]:
-        return (
-            Profile1D.hermite(self.j, self.tau),
-            Profile1D.hermite(self.k, self.tau),
-        )
-
-
-def special_hermite(spec: WignerSpec, q: float, p: float) -> complex:
-    """e_{j,k,tau}(q,p) by quadrature."""
-    f, g = spec.profiles()
-    return fourier_wigner(f, g, spec.tau, q, p, L=spec.L, N=spec.N)
-
-
-def special_hermite_field(spec: WignerSpec, grid: BoxGrid) -> ScalarField:
-    """Whole-grid tabulation of e_{j,k,tau} on a 2-d grid (axis 0 = q, axis 1 = p)."""
-    if grid.ndim != 2:
-        raise ValueError("special Hermite tabulation needs a 2-d grid")
-    f, g = spec.profiles()
-    table = fourier_wigner_table(f, g, spec.tau, grid.axis(0), grid.axis(1), L=spec.L, N=spec.N)
-    return ScalarField(grid, table.astype(np.complex128))

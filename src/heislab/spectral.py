@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -60,7 +61,7 @@ from .exceptions import (
     StructureMismatchError,
 )
 from .grid import BoxGrid, ScalarField
-from .hermite import Profile1D, fourier_wigner_table
+from .hermite import fourier_wigner_table, hermite_fn_scaled
 from .operators import HN, FieldConvention, sublaplacian, twisted_laplacian
 
 __all__ = [
@@ -668,9 +669,9 @@ def lowest_eigenvalues(
     U_q is orthonormal with ``A U_q = U_q S_q``, so ``U_q x`` has the same
     residual in A; it is never formed.  No vector outlives the residuals.
 
-    Paths: a dense solve at dimension ``<= dense_cutoff`` (also the oracle
-    path).  Above it, one shift-invert block Krylov solve (``_krylov_pairs``)
-    per Hermitian block: the four real rotation sectors of an operator on an
+    Paths: a dense solve of the m lowest pairs only at dimension
+    ``<= dense_cutoff`` (also the oracle path).  Above it, one shift-invert
+    block Krylov solve (``_krylov_pairs``) per Hermitian block: the four real rotation sectors of an operator on an
     n x n grid that has the exact rotation and flip symmetries of
     ``_rotation_sectors``, or the whole operator as one block otherwise.
     Each block gets a sparse LU below its spectrum, a basis grown by solved
@@ -693,8 +694,8 @@ def lowest_eigenvalues(
     if not 0 < m < dim:
         raise ValueError(f"need 0 < m < dim, got m={m}, dim={dim}")
     if dim <= dense_cutoff:
-        vals, vecs = scipy.linalg.eigh(A.toarray())
-        vals, res = vals[:m], _residuals(A, vals[:m], vecs[:, :m])
+        vals, vecs = scipy.linalg.eigh(A.toarray(), subset_by_index=[0, m - 1])
+        res = _residuals(A, vals, vecs)
     else:
         vals, res = _lowest_pairs(A.tocsr(), m, residual_bound, seed)
     bad = np.flatnonzero(~(res <= residual_bound))  # a NaN residual fails too
@@ -734,13 +735,17 @@ def cluster_eigenvalues(eigs, rel_gap: float = 0.10) -> list[np.ndarray]:
     return [np.asarray(c) for c in clusters]
 
 
+# With three or more levels, a gap between cluster centers may differ from
+# their mean gap by at most this fraction.
+_SPACING_TOL = 0.05
+
+
 def _ladder_fit_once(
     eigs,
     tau: float,
     rel_gap: float,
     min_population: int | None,
     n_levels: int,
-    spacing_tol: float,
 ) -> LadderFit:
     clusters = cluster_eigenvalues(eigs, rel_gap=rel_gap)
     if not clusters:
@@ -764,10 +769,10 @@ def _ladder_fit_once(
             raise StructureMismatchError("cluster centers are not increasing")
         if n_levels >= 3:
             worst_gap = float(np.max(np.abs(gaps - mean_gap))) / mean_gap
-            if worst_gap > spacing_tol:
+            if worst_gap > _SPACING_TOL:
                 raise StructureMismatchError(
                     f"cluster gaps {gaps.tolist()} deviate {worst_gap:.1%} "
-                    f"from equal spacing (tolerance {spacing_tol:.0%})"
+                    f"from equal spacing (tolerance {_SPACING_TOL:.0%})"
                 )
     x = np.array([(2 * k + 1) * abs(tau) for k in range(n_levels)])
     y = np.asarray(centers)
@@ -784,7 +789,6 @@ def landau_structure_fit(
     rel_gap: float | None = None,
     min_population: int | None = None,
     n_levels: int = 3,
-    spacing_tol: float = 0.05,
 ) -> LadderFit:
     """Fit the lowest n_levels cluster centers to kappa0 * (2k+1) * |tau|.
 
@@ -802,15 +806,11 @@ def landau_structure_fit(
     threshold that produced the fit is recorded in ``rel_gap_used``.
     """
     if rel_gap is not None:
-        return _ladder_fit_once(
-            eigs, tau, rel_gap, min_population, n_levels, spacing_tol
-        )
+        return _ladder_fit_once(eigs, tau, rel_gap, min_population, n_levels)
     last_err: StructureMismatchError | None = None
     for trial in (0.10, 0.03, 0.01):
         try:
-            return _ladder_fit_once(
-                eigs, tau, trial, min_population, n_levels, spacing_tol
-            )
+            return _ladder_fit_once(eigs, tau, trial, min_population, n_levels)
         except StructureMismatchError as err:
             last_err = err
     raise StructureMismatchError(
@@ -830,22 +830,24 @@ def tabulate_eigenfunction(
     tau: float,
     grid: BoxGrid,
     scaling: float = 2.0,
-    L: float | None = None,
-    N: int | None = None,
 ) -> ScalarField:
     """Tabulate e_{j,k,tau}(s q, p / s) on a 2-d grid (axis 0 = q, axis 1 = p).
 
-    s = 1 is the raw family; s = 2 is the adjudicated eigenfamily of the
-    twisted Laplacian.
+    e_{j,k,tau} = V_tau(e_{j,tau}, e_{k,tau}) is the special Hermite family,
+    computed by ``fourier_wigner_table`` with its default quadrature.  s = 1 is
+    the raw family; s = 2 is the adjudicated eigenfamily of the twisted
+    Laplacian.
     """
     if grid.ndim != 2:
         raise ValueError("eigenfunction tabulation needs a 2-d grid")
     if scaling <= 0:
         raise ValueError("scaling must be positive")
-    fj = Profile1D.hermite(j, tau)
-    gk = Profile1D.hermite(k, tau)
     table = fourier_wigner_table(
-        fj, gk, tau, scaling * grid.axis(0), grid.axis(1) / scaling, L=L, N=N
+        partial(hermite_fn_scaled, j, tau),
+        partial(hermite_fn_scaled, k, tau),
+        tau,
+        scaling * grid.axis(0),
+        grid.axis(1) / scaling,
     )
     return ScalarField(grid, table.astype(np.complex128))
 
@@ -880,20 +882,19 @@ def convention_search(
     k: int,
     tau: float,
     grid: BoxGrid,
-    scalings: tuple[float, ...] = (0.5, 1.0, 2.0),
-    signs: tuple[int, ...] = (1, -1),
     kappa0: float = 4.0,
     reject_above: float = 0.5,
 ) -> ConventionChoice:
-    """Grid-search the argument scaling and angular sign; smallest residual wins.
+    """Grid-search the argument scaling in (0.5, 1, 2) and the angular sign in
+    (+1, -1); smallest residual wins.
 
     For j == k the family has no angular momentum and the two signs tie
-    exactly; the first candidate sign is then reported.
+    exactly; the first candidate sign (+1) is then reported.
     """
     best: ConventionChoice | None = None
-    for s in scalings:
+    for s in (0.5, 1.0, 2.0):
         e = tabulate_eigenfunction(j, k, tau, grid, scaling=s)
-        for sign in signs:
+        for sign in (1, -1):
             r = eigenfunction_residual(
                 j, k, tau, grid, scaling=s, angular_sign=sign, kappa0=kappa0, e=e
             )
@@ -957,19 +958,19 @@ def gram_matrix(
 def _refine_eigvec(
     A: sp.csr_matrix, start: np.ndarray, shift: float, iters: int = 3
 ) -> tuple[np.ndarray, float]:
-    """Rayleigh-quotient inverse iteration from a tabulated start vector."""
+    """Rayleigh-quotient inverse iteration from a tabulated start vector.
+
+    A shift that ``_shifted_lu`` refuses is nudged up by 1e-8 relative once.
+    """
     v = start.astype(np.complex128)
     v = v / np.linalg.norm(v)
     s = float(shift)
-    n = A.shape[0]
-    eye = sp.identity(n, dtype=np.complex128, format="csc")
     for _ in range(iters):
         try:
-            lu = spla.splu((A - s * eye).tocsc())
-            w = lu.solve(v)
-        except RuntimeError:
-            lu = spla.splu((A - (s + 1e-8 * max(1.0, abs(s))) * eye).tocsc())
-            w = lu.solve(v)
+            lu = _shifted_lu(A, s)[0]
+        except EigensolverError:
+            lu = _shifted_lu(A, s + 1e-8 * max(1.0, abs(s)))[0]
+        w = lu.solve(v)
         nw = np.linalg.norm(w)
         if not np.isfinite(nw) or nw == 0.0:
             break
@@ -1088,24 +1089,19 @@ def weyl_probe(
 # ---------------------------------------------------------------------------
 
 
-def vertical_bridge_sign(
-    transform: str = "inverse",
-    conv: FieldConvention = HN,
-    count2d: int = 31,
-    half2d: float = 5.0,
-    t_count: int = 181,
-    t_half: float = 18.0,
-    sigma_t: float = 4.0,
-) -> int:
+def vertical_bridge_sign(transform: str = "inverse", conv: FieldConvention = HN) -> int:
     """Which angular sign makes (L u)-transformed(tau) = L_tau u-transformed(tau).
 
     ``transform="inverse"`` uses the kernel e^{+i t tau} (the check-accent
     partner of the unitary forward transform), ``"forward"`` uses e^{-i t tau}.
-    Adjudicated numerically on a bump with unit angular momentum; the winner
-    is -1 for the inverse transform and +1 for the forward one.
+    Adjudicated numerically on a bump with unit angular momentum, on a
+    31 x 31 x 181 grid over [-5, 5]^2 x [-18, 18] with a vertical Gaussian of
+    width 4; the winner is -1 for the inverse transform and +1 for the
+    forward one.
     """
     if transform not in ("inverse", "forward"):
         raise ValueError("transform must be 'inverse' or 'forward'")
+    count2d, half2d, t_count, t_half, sigma_t = 31, 5.0, 181, 18.0, 4.0
     grid3 = BoxGrid(
         (-half2d, -half2d, -t_half), (half2d, half2d, t_half),
         (count2d, count2d, t_count),

@@ -758,7 +758,7 @@ def ray_scan(
     }
 
 
-# ps_monitor's default energy-tail window and Cauchy tolerance; a converged
+# ps_monitor's energy-tail window and Cauchy tolerance; a converged
 # mountain_pass_solve meets them by construction
 _PS_WINDOW = 10
 _PS_TOL = 1e-6
@@ -951,12 +951,7 @@ def mp_geometry_check(
     return {"ok": False, "rho": None, "alpha": None, "samples": len(pool), "table": table}
 
 
-def ps_monitor(
-    result: MPResult,
-    threshold: float | None = None,
-    energy_window: int = _PS_WINDOW,
-    energy_tol: float = _PS_TOL,
-) -> dict:
+def ps_monitor(result: MPResult, threshold: float | None = None) -> dict:
     """Palais-Smale bookkeeping on an MPResult log.
 
     Flags: energies Cauchy over the tail window, gradient norms down to the
@@ -967,9 +962,9 @@ def ps_monitor(
     gs = np.asarray(result.gradient_norms, dtype=float)
     ns = np.asarray(result.norms, dtype=float)
     if es.size >= 3:
-        tail = es[-min(energy_window, es.size):]
+        tail = es[-min(_PS_WINDOW, es.size):]
         energies_converged = bool(
-            np.max(tail) - np.min(tail) <= energy_tol * (1.0 + abs(float(es[-1])))
+            np.max(tail) - np.min(tail) <= _PS_TOL * (1.0 + abs(float(es[-1])))
         )
     else:
         energies_converged = False

@@ -7,27 +7,28 @@ orthonormality checked against analytic values.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 import sympy
 
 from heislab import (
-    Profile1D,
-    SampledProfile,
-    WignerSpec,
     fourier_transform_1d,
-    fourier_wigner,
     hermite_fn,
     hermite_fn_scaled,
     hermite_poly,
     hermite_poly_rodrigues,
-    special_hermite,
-    special_hermite_field,
+    tabulate_eigenfunction,
 )
 from heislab.exceptions import QuadratureTailError
 from heislab.grid import BoxGrid
 from heislab.hermite import fourier_wigner_table
+
+
+def _e(k: int, tau: float = 1.0):
+    """The scaled Hermite function e_{k,tau} as a plain callable profile."""
+    return partial(hermite_fn_scaled, k, tau)
 
 
 def test_recurrence_matches_rodrigues_coefficients():
@@ -87,30 +88,29 @@ def test_hermite_parity():
 
 def test_fourier_gaussian_closed_form():
     # the standard Gaussian is fixed by the unitary transform
-    f = Profile1D(lambda x: np.exp(-0.5 * x * x))
     xi = np.linspace(-4.0, 4.0, 41)
-    out = fourier_transform_1d(f, xi=xi)
-    np.testing.assert_allclose(out.values, np.exp(-0.5 * xi * xi), atol=1e-12)
+    out = fourier_transform_1d(lambda x: np.exp(-0.5 * x * x), xi)
+    np.testing.assert_allclose(out, np.exp(-0.5 * xi * xi), atol=1e-12)
 
 
 def test_fourier_eigenfunctions():
     # e_k maps to (-i)^k e_k under the unitary transform
     xi = np.linspace(-3.0, 3.0, 31)
     for k in range(4):
-        out = fourier_transform_1d(Profile1D.hermite(k), xi=xi)
+        out = fourier_transform_1d(_e(k), xi)
         expected = (-1j) ** k * hermite_fn(k, xi)
-        assert np.max(np.abs(out.values - expected)) <= 1e-10
+        assert np.max(np.abs(out - expected)) <= 1e-10
 
 
 def test_fourier_linearity_and_plancherel():
-    f = Profile1D(lambda x: np.exp(-0.5 * x * x))
-    g = Profile1D.hermite(2)
+    def f(x):
+        return np.exp(-0.5 * x * x)
+
+    g = _e(2)
     xi = np.linspace(-6.0, 6.0, 1201)
-    ff = fourier_transform_1d(f, xi=xi).values
-    gg = fourier_transform_1d(g, xi=xi).values
-    combo = fourier_transform_1d(
-        Profile1D(lambda x: 2.0 * f(x) - 0.5 * g(x)), xi=xi
-    ).values
+    ff = fourier_transform_1d(f, xi)
+    gg = fourier_transform_1d(g, xi)
+    combo = fourier_transform_1d(lambda x: 2.0 * f(x) - 0.5 * g(x), xi)
     assert np.max(np.abs(combo - (2.0 * ff - 0.5 * gg))) <= 1e-10
     # Plancherel for the Hermite member (unit L^2 norm on both sides)
     assert abs(np.trapezoid(np.abs(gg) ** 2, xi) - 1.0) <= 1e-8
@@ -118,81 +118,60 @@ def test_fourier_linearity_and_plancherel():
 
 def test_fourier_rejects_slow_decay():
     with pytest.raises(QuadratureTailError):
-        fourier_transform_1d(Profile1D(lambda x: 1.0 / (1.0 + x * x)))
-
-
-def test_sampled_profile_interpolates():
-    x = np.linspace(-1.0, 1.0, 5)
-    prof = SampledProfile(x, x**2)
-    assert abs(float(prof(0.25)) - 0.125) <= 1e-12  # chord of the parabola
-    with pytest.raises(ValueError):
-        SampledProfile(np.zeros((2, 2)), np.zeros((2, 2)))
+        fourier_transform_1d(lambda x: 1.0 / (1.0 + x * x), np.linspace(-1.0, 1.0, 5))
 
 
 def test_wigner_at_origin_closed_form():
     # V_tau(f, g)(0, 0) = (2 pi)^{-1/2} |tau|^{1/2} <f, g>; for the
     # L^2-normalized scaled Hermite pair (k, k) this is (2 pi)^{-1/2} sqrt|tau|
     for tau in (1.0, 2.0):
-        val = fourier_wigner(
-            Profile1D.hermite(0, tau), Profile1D.hermite(0, tau), tau, 0.0, 0.0
-        )
+        val = fourier_wigner_table(_e(0, tau), _e(0, tau), tau, [0.0], [0.0])[0, 0]
         expected = math.sqrt(abs(tau)) / math.sqrt(2.0 * math.pi)
         assert abs(val - expected) <= 1e-12
     # orthogonal pair vanishes at the origin
-    val = fourier_wigner(
-        Profile1D.hermite(0), Profile1D.hermite(1), 1.0, 0.0, 0.0
-    )
+    val = fourier_wigner_table(_e(0), _e(1), 1.0, [0.0], [0.0])[0, 0]
     assert abs(val) <= 1e-12
 
 
 def test_wigner_sesquilinearity():
-    f = Profile1D.hermite(1)
-    g = Profile1D.hermite(2)
-    q, p = 0.7, -0.3
-    base = fourier_wigner(f, g, 1.0, q, p)
-    left = fourier_wigner(lambda x: (2.0 + 1j) * f(x), g, 1.0, q, p)
-    right = fourier_wigner(f, lambda x: (2.0 + 1j) * g(x), 1.0, q, p)
-    assert abs(left - (2.0 + 1j) * base) <= 1e-12
-    assert abs(right - np.conjugate(2.0 + 1j) * base) <= 1e-12
+    f, g = _e(1), _e(2)
+    qs, ps = np.array([0.7, -0.2]), np.array([-0.3, 0.45])
+    base = fourier_wigner_table(f, g, 1.0, qs, ps)
+    left = fourier_wigner_table(lambda x: (2.0 + 1j) * f(x), g, 1.0, qs, ps)
+    right = fourier_wigner_table(f, lambda x: (2.0 + 1j) * g(x), 1.0, qs, ps)
+    assert np.max(np.abs(left - (2.0 + 1j) * base)) <= 1e-12
+    assert np.max(np.abs(right - np.conjugate(2.0 + 1j) * base)) <= 1e-12
 
 
 def test_wigner_scaling_relation():
     # e_{j,k,tau}(q, p) = sqrt(tau) * e_{j,k,1}(sqrt(tau) q, sqrt(tau) p), tau > 0
     tau = 2.0
     root = math.sqrt(tau)
-    for (j, k), (q, p) in [((0, 0), (0.4, 0.2)), ((1, 2), (-0.6, 0.35))]:
-        lhs = fourier_wigner(
-            Profile1D.hermite(j, tau), Profile1D.hermite(k, tau), tau, q, p
-        )
-        rhs = root * fourier_wigner(
-            Profile1D.hermite(j), Profile1D.hermite(k), 1.0, root * q, root * p
-        )
-        assert abs(lhs - rhs) <= 1e-10
+    qs, ps = np.array([0.4, -0.6]), np.array([0.2, 0.35])
+    for j, k in [(0, 0), (1, 2)]:
+        lhs = fourier_wigner_table(_e(j, tau), _e(k, tau), tau, qs, ps)
+        rhs = root * fourier_wigner_table(_e(j), _e(k), 1.0, root * qs, root * ps)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
-def test_wigner_spec_validation_and_field():
+def test_wigner_table_validation():
+    # e_3 is far from zero at +-2, so the product integrand fails the tail guard
     with pytest.raises(QuadratureTailError):
-        WignerSpec(3, 0, 1.0, L=2.0)  # e_3 is far from zero at +-2
+        fourier_wigner_table(_e(3), _e(0), 1.0, [0.0], [0.0], L=2.0)
     with pytest.raises(ValueError):
-        WignerSpec(-1, 0, 1.0)
+        fourier_wigner_table(_e(0, 1.0), _e(0, 1.0), 0.0, [0.0], [0.0])
     with pytest.raises(ValueError):
-        WignerSpec(0, 0, 0.0)
-    spec = WignerSpec(0, 1, 1.0)
-    grid = BoxGrid((-1.0, -1.0), (1.0, 1.0), (5, 5))
-    field = special_hermite_field(spec, grid)
-    assert field.values.shape == (5, 5)
-    center = special_hermite(spec, 0.0, 0.0)
-    assert abs(field.values[2, 2] - center) <= 1e-12
-    with pytest.raises(ValueError):
-        special_hermite_field(spec, BoxGrid((-1.0,), (1.0,), (5,)))
+        tabulate_eigenfunction(-1, 0, 1.0, BoxGrid((-1.0, -1.0), (1.0, 1.0), (5, 5)))
 
 
 def test_wigner_table_matches_pointwise():
     qs = np.array([-0.5, 0.0, 1.0])
     ps = np.array([0.25, -0.25])
-    f, g = Profile1D.hermite(1), Profile1D.hermite(0)
+    f, g = _e(1), _e(0)
     table = fourier_wigner_table(f, g, 1.0, qs, ps)
     assert table.shape == (3, 2)
     for i, q in enumerate(qs):
         for j, p in enumerate(ps):
-            assert abs(table[i, j] - fourier_wigner(f, g, 1.0, q, p)) <= 1e-12
+            one = fourier_wigner_table(f, g, 1.0, [q], [p])
+            assert one.shape == (1, 1)
+            assert abs(table[i, j] - one[0, 0]) <= 1e-12

@@ -7,8 +7,7 @@ The package is organised around five layers:
 * ``operators``    -- finite-difference left-invariant vector fields, sub-Laplacians,
                       twisted Laplacians, p-sub-Laplacians (plus an exact polynomial mode);
 * ``hermite``      -- Hermite functions (``hermite_poly``, ``hermite_fn``,
-                      ``hermite_fn_scaled``), the unitary 1-d Fourier transform
-                      (``fourier_transform_1d``), and the tabulated Fourier-Wigner
+                      ``hermite_fn_scaled``) and the tabulated Fourier-Wigner
                       transform (``fourier_wigner_table``);
 * ``spectral``     -- assembled twisted operators, Landau-ladder fits, the special
                       Hermite family e_{j,k,tau} (tabulated by
@@ -53,7 +52,6 @@ from .operators import (
 )
 from .polyfield import PolyField
 from .hermite import (
-    fourier_transform_1d,
     hermite_fn,
     hermite_fn_scaled,
     hermite_poly,

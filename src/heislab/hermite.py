@@ -1,4 +1,4 @@
-"""Hermite functions, the 1-d Fourier transform, and the Fourier-Wigner transform.
+"""Hermite functions and the Fourier-Wigner transform.
 
 Conventions implemented here (all of them load-bearing for the spectral lab):
 
@@ -9,7 +9,6 @@ Conventions implemented here (all of them load-bearing for the spectral lab):
 * L^2-normalized Hermite functions ``e_k(x) = (2^k k! sqrt(pi))^{-1/2} e^{-x^2/2} H_k(x)``
   via the normalized recurrence, and their tau-scalings
   ``e_{k,tau}(x) = |tau|^{1/4} e_k(sqrt|tau| x)``;
-* unitary Fourier transform ``fhat(xi) = (2 pi)^{-1/2} int e^{-i x xi} f(x) dx``;
 * Fourier-Wigner transform
 
       V_tau(f, g)(q, p) = (2 pi)^{-1/2} |tau|^{1/2} int e^{i tau q y} f(y - 2p) conj(g)(y + 2p) dy
@@ -38,7 +37,6 @@ __all__ = [
     "hermite_poly_rodrigues",
     "hermite_fn",
     "hermite_fn_scaled",
-    "fourier_transform_1d",
     "fourier_wigner_table",
 ]
 
@@ -143,33 +141,6 @@ def _default_nodes(L: float, tau: float, qmax: float, band: float) -> int:
     """
     needed = abs(tau) * abs(qmax) + band
     return max(64, int(math.ceil(2.0 * L * (needed + 4.0) / math.pi * 1.25)))
-
-
-# ---------------------------------------------------------------------------
-# Fourier transform (unitary convention)
-# ---------------------------------------------------------------------------
-
-
-def fourier_transform_1d(f: Callable, xi) -> np.ndarray:
-    """fhat(xi) = (2 pi)^{-1/2} int e^{-i x xi} f(x) dx at the nodes xi (complex array).
-
-    The half-width L doubles from 10 (at most five times) until
-    |f(+-L)| < 1e-14; insufficient decay is rejected with a diagnostic.
-    """
-    for L in (10.0 * 2.0**i for i in range(6)):
-        tail = float(np.max(np.abs(f(np.array([-L, L])))))
-        if tail < _TAIL_GUARD:
-            break
-    else:
-        raise QuadratureTailError(
-            f"integrand magnitude {tail:.3e} at the quadrature bounds +-{L:g} "
-            f"exceeds the 1e-14 tail guard"
-        )
-    xi = np.asarray(xi, dtype=float)
-    N = max(256, int(math.ceil(2.0 * L * (np.max(np.abs(xi)) + 12.0) / math.pi)))
-    x, w = _trapezoid_nodes(L, N)
-    kernel = np.exp(-1j * np.outer(xi, x))
-    return kernel @ (w * np.asarray(f(x))) / math.sqrt(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ homogeneous dimension Q = 2n + 2.
 
 Design notes that matter for correctness:
 
+* The discretization lives only in the private class ``_Nodal``, which every
+  function below goes through; a conforming (trilinear Q1) discretization
+  replaces that class alone.
 * The discrete gradient is the *exact* gradient of the discrete energy: the
   quasilinear term is assembled as -div_H(|D_H u|^{p-2} D_H u) with the
   divergence stencil the exact negative adjoint of the gradient stencil
@@ -45,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import BoxGrid, ScalarField
-from .operators import HN, FieldConvention, _p_flux_divergence, horizontal_gradient
+from .operators import HN, _p_flux_divergence, horizontal_gradient
 
 __all__ = [
     "KirchhoffM",
@@ -223,7 +226,6 @@ class KirchhoffProblem:
     grid: BoxGrid
     potential: float | Callable = 1.0
     v0: float | None = None
-    conv: FieldConvention = HN
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -268,7 +270,7 @@ class KirchhoffProblem:
             "potential": "callable" if callable(self.potential) else float(self.potential),
             "v0": self.v0,
             "grid": self.grid.descriptor(),
-            "convention": self.conv.name,
+            "convention": HN.name,
         }
 
 
@@ -372,25 +374,86 @@ def _check_admissible(u: ScalarField, problem: KirchhoffProblem) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _norm_terms(u: ScalarField, problem: KirchhoffProblem, grad=None) -> tuple[float, float]:
-    """(||D_H u||_p^p, int V |u|^p) by grid quadrature; ``grad`` is D_H u if already in hand."""
-    w = u.grid.cell_volume
-    if grad is None:
-        grad = horizontal_gradient(u, problem.conv)
-    norm2 = np.zeros(u.grid.counts)
-    for c in grad.components:
-        norm2 += c.values * c.values
-    s = float(np.sum(norm2 ** (problem.p / 2.0)) * w)
-    V = problem.potential_values()
-    pot = float(np.sum(V * np.abs(u.values) ** problem.p) * w)
-    return s, pot
+class _Nodal:
+    """One problem's discretization: nodal values, the central-difference D_H
+    (looked up by name on each call), the p-flux divergence whose negative
+    is its exact adjoint, the boundary ring, and integrals as nodal sums
+    times the cell volume ``w`` (so w * dot(a, b) is the L^2 pairing).  At
+    p = 2 and p* = 4 integrands are products, not ``pow`` passes, which cost
+    several times more.  ``q`` is p*; ``V`` and ``a`` are the potential and
+    the nonlinearity's weight on the grid.
+    """
+
+    def __init__(self, grid: BoxGrid, p: float, V=0.0, a=0.0) -> None:
+        Q = 2 * HN.n_of(grid.ndim) + 2
+        if not 1 < p < Q:
+            raise ValueError(f"need 1 < p < Q = {Q}")
+        self.grid, self.p, self.q, self.V, self.a = grid, p, Q * p / (Q - p), V, a
+        self.w, self.ring = grid.cell_volume, _boundary_mask(grid.counts)
+
+    @classmethod
+    def of(cls, pr: KirchhoffProblem) -> "_Nodal":
+        return cls(pr.grid, pr.p, pr.potential_values(), pr.nonlinearity.weight_values(pr.grid))
+
+    @staticmethod
+    def dot(a: np.ndarray, b: np.ndarray) -> float:  # np.dot would wake the BLAS threads
+        return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+    def grad(self, vals: np.ndarray):
+        return horizontal_gradient(ScalarField(self.grid, vals))
+
+    def divergence(self, grad) -> np.ndarray:
+        """div_H(|G|^{p-2} G) for G = D_H u, as a new array; its negative is
+        the exact adjoint of D_H applied to the p-flux."""
+        return _p_flux_divergence(grad, self.p, HN).values
+
+    def dirichlet(self, grad) -> float:
+        """int |D_H u|^p, from G = D_H u."""
+        comps = [c.values for c in grad.components]
+        if self.p == 2:
+            return sum(self.dot(c, c) for c in comps) * self.w
+        norm2 = sum(c * c for c in comps)
+        norm2 **= self.p / 2.0
+        return float(np.sum(norm2) * self.w)
+
+    def hw(self, vals: np.ndarray, grad) -> float:
+        """T(u) = int |D_H u|^p + int V |u|^p, from u and G = D_H u."""
+        return self.dirichlet(grad) + float(np.sum(self.V * np.abs(vals) ** self.p) * self.w)
+
+    def power(self, vals: np.ndarray, q: float, out: np.ndarray | None = None) -> float:
+        """int |u|^q; the integrand is formed in ``out``, which may be ``vals``."""
+        if q == 4.0:
+            sq = np.multiply(vals, vals, out=out)
+            return self.dot(sq, sq) * self.w
+        mag = np.abs(vals, out=out)
+        mag **= q
+        return float(np.sum(mag) * self.w)
+
+    def odd_power(self, vals: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarray:
+        """sign(u) |u|^{q-1}, the derivative of |u|^q / q, formed in ``out``."""
+        if q == 4.0:
+            out = np.multiply(vals, vals, out=out)
+            out *= vals
+        else:
+            out = np.abs(vals, out=out)
+            out **= q - 1.0
+            out *= np.sign(vals)
+        return out
+
+    def ray(self, vals: np.ndarray, nonlinearity: GrowthNonlinearity) -> tuple[float, float, float]:
+        """(T, F, C) = (T(u), int a |u|^{r_g} / r_g, int |u|^{p*})."""
+        F = float(np.sum(nonlinearity.big_f(self.a, vals)) * self.w)
+        return self.hw(vals, self.grad(vals)), F, self.power(vals, self.q)
+
+    def l2(self, vals: np.ndarray) -> float:
+        return math.sqrt(self.dot(vals, vals) * self.w)
 
 
 def hw_norm(u: ScalarField, problem: KirchhoffProblem) -> float:
     """Discrete HW_V^{1,p} norm (||D_H u||_p^p + int V |u|^p)^{1/p}."""
     _check_admissible(u, problem)
-    s, pot = _norm_terms(u, problem)
-    return float((s + pot) ** (1.0 / problem.p))
+    nod = _Nodal.of(problem)
+    return float(nod.hw(u.values, nod.grad(u.values)) ** (1.0 / problem.p))
 
 
 # Newton steps on phi' per ray peak, at most; bisection alone needs about 53
@@ -424,12 +487,9 @@ class _RayProfile:
         ))
 
     @classmethod
-    def of(cls, u: ScalarField, problem: KirchhoffProblem, a) -> "_RayProfile":
-        """One _norm_terms pass plus two sums; ``a`` is the weight on the grid."""
-        w = u.grid.cell_volume
-        s, pot = _norm_terms(u, problem)
-        F = float(np.sum(problem.nonlinearity.big_f(a, u.values)) * w)
-        return cls(problem, s + pot, F, float(np.sum(np.abs(u.values) ** problem.p_star) * w))
+    def of(cls, vals: np.ndarray, problem: KirchhoffProblem, nodal: _Nodal) -> "_RayProfile":
+        """The profile of the ray through the field ``vals``, from ``nodal``'s quadratures."""
+        return cls(problem, *nodal.ray(vals, problem.nonlinearity))
 
     def value(self, t: float) -> float:
         pr, r, ps = self.problem, self.problem.nonlinearity.r_g, self.problem.p_star
@@ -500,7 +560,7 @@ class _RayProfile:
 def energy(u: ScalarField, problem: KirchhoffProblem) -> float:
     """J(u) = Mprim(T)/p - lambda * int a F(u) - (1/p*) int |u|^{p*}."""
     _check_admissible(u, problem)
-    return _RayProfile.of(u, problem, problem.nonlinearity.weight_values(problem.grid)).value(1.0)
+    return _RayProfile.of(u.values, problem, _Nodal.of(problem)).value(1.0)
 
 
 def gradient(u: ScalarField, problem: KirchhoffProblem) -> ScalarField:
@@ -511,21 +571,15 @@ def gradient(u: ScalarField, problem: KirchhoffProblem) -> ScalarField:
     -div_H(|D_H u|^{p-2} D_H u) of the energy's gradient stencil.
     """
     _check_admissible(u, problem)
-    p, ps = problem.p, problem.p_star
-    grad = horizontal_gradient(u, problem.conv)
-    s, pot = _norm_terms(u, problem, grad)
-    mval = problem.kirchhoff.m(s + pot)
-    ap = -_p_flux_divergence(grad, p, problem.conv).values
-    V = problem.potential_values()
-    a = problem.nonlinearity.weight_values(problem.grid)
-    au = np.abs(u.values)
-    sg = np.sign(u.values)
+    nod, vals = _Nodal.of(problem), u.values
+    grad = nod.grad(vals)
+    mval = problem.kirchhoff.m(nod.hw(vals, grad))
     core = (
-        mval * (ap + V * sg * au ** (p - 1.0))
-        - problem.lam * problem.nonlinearity.f(a, u.values)
-        - sg * au ** (ps - 1.0)
+        mval * (nod.V * nod.odd_power(vals, problem.p) - nod.divergence(grad))
+        - problem.lam * problem.nonlinearity.f(nod.a, vals)
+        - nod.odd_power(vals, nod.q)
     )
-    core[_boundary_mask(u.grid.counts)] = 0.0
+    core[nod.ring] = 0.0
     return ScalarField(u.grid, core)
 
 
@@ -566,7 +620,6 @@ def folland_stein_constant(
     p: float,
     iters: int = 400,
     seed: int = 0,
-    conv: FieldConvention = HN,
 ) -> FSResult:
     """Minimize ||D_H u||_p^p / ||u||_{p*}^p over ring-zero grid fields.
 
@@ -586,76 +639,47 @@ def folland_stein_constant(
     of half-width 4, p = 2, seed 0: 12.84 after 200 iterations, 10.06 after
     400); at p = 2 :func:`mp_threshold` grows as its square.
     """
-    n = conv.n_of(grid.ndim)
-    Q = 2 * n + 2
-    if not 1 < p < Q:
-        raise ValueError(f"need 1 < p < Q = {Q}")
-    p_star = Q * p / (Q - p)
-    w = grid.cell_volume
-    mask = _boundary_mask(grid.counts)
-
-    def dot(a: np.ndarray, b: np.ndarray) -> float:  # np.dot would wake the BLAS threads
-        return float(np.einsum("i,i->", a.ravel(), b.ravel()))
-
-    def lp_star(vals: np.ndarray) -> float:
-        """w * sum |vals|^{p*}, in one pass that overwrites vals."""
-        if p_star == 4.0:
-            vals *= vals
-            return dot(vals, vals) * w
-        np.abs(vals, out=vals)
-        vals **= p_star
-        return float(np.sum(vals) * w)
-
-    def numerator(vals: np.ndarray):
-        """(w * sum |D_H vals|^p, D_H vals)."""
-        grad = horizontal_gradient(ScalarField(grid, vals), conv)
-        if p == 2:
-            return sum(dot(c.values, c.values) for c in grad.components) * w, grad
-        norm2 = sum(c.values * c.values for c in grad.components)
-        return float(np.sum(norm2 ** (p / 2.0)) * w), grad
-
+    nod = _Nodal(grid, p)
+    p_star = nod.q
     u = random_dirichlet_field(grid, seed=seed, bumps=2).values
     work = u.copy()  # scratch: |u|^{p*-1}, then the trials; after a step, the old g
-    u /= lp_star(work) ** (1.0 / p_star)
-    num, grad = numerator(u)
+    u /= nod.power(work, p_star, out=work) ** (1.0 / p_star)
+    grad = nod.grad(u)
+    num = nod.dirichlet(grad)
     np.copyto(work, u)
-    q = num / lp_star(work) ** (p / p_star)
+    q = num / nod.power(work, p_star, out=work) ** (p / p_star)
     history = [q]
     step = 0.5
     stagnated = False
     for _ in range(iters):
         if grad is None:  # p = 2: D_H of the accepted u, for A and the divergence
-            num, grad = numerator(u)
+            grad = nod.grad(u)
+            num = nod.dirichlet(grad)
         # u is kept ||u||_{p*} = 1, so the quotient gradient reduces to
         # g = p * (ap - q * sign(u) |u|^{p*-1}) with ap = -div_H(|D_H u|^{p-2} D_H u)
-        g = _p_flux_divergence(grad, p, conv).values
+        g = nod.divergence(grad)
         grad = None
-        if p_star == 4.0:
-            np.multiply(u, u, out=work)
-            work *= u
-        else:
-            np.abs(u, out=work)
-            work **= p_star - 1.0
-            work *= np.sign(u)
+        work = nod.odd_power(u, p_star, out=work)
         work *= q
         g += work
         g *= -p
-        g[mask] = 0.0
-        gg = dot(g, g)
+        g[nod.ring] = 0.0
+        gg = nod.dot(g, g)
         if gg == 0.0:
             break
         if p == 2:  # B = <D_H u, D_H g> = <ap, g>, and ap = g / p + work off the ring
-            B = (gg / p + dot(work, g)) * w
-            C = numerator(g)[0]
+            B = (gg / p + nod.dot(work, g)) * nod.w
+            C = nod.dirichlet(nod.grad(g))
         while step > 1e-16:
             np.multiply(g, -step, out=work)
             work += u
             if p == 2:
                 tn = num - 2.0 * step * B + step * step * C
             else:
-                grad = None
-                tn, grad = numerator(work)
-            den = lp_star(work)
+                grad = None  # let the last trial's D_H go before forming this one's
+                grad = nod.grad(work)
+                tn = nod.dirichlet(grad)
+            den = nod.power(work, p_star, out=work)
             tq = tn / den ** (p / p_star)
             if tq < q - 1e-12 * (1.0 + abs(q)):
                 break
@@ -733,13 +757,14 @@ def ray_scan(
     endpoint), and whether the tail past the peak is strictly decreasing.
     Raises if no sign change occurs before t_max.
     """
-    nv = hw_norm(v0, problem)
+    _check_admissible(v0, problem)
+    ray = _RayProfile.of(v0.values, problem, _Nodal.of(problem))
+    nv = ray.T ** (1.0 / problem.p)
     if abs(nv - 1.0) > 1e-8:
         raise ValueError(f"v0 must have unit HW norm (got {nv:.6g})")
     if steps < 8:
         raise ValueError("need at least 8 steps")
     ts = np.linspace(0.0, float(t_max), steps + 1)
-    ray = _RayProfile.of(v0, problem, problem.nonlinearity.weight_values(problem.grid))
     js = np.array([ray.value(float(t)) for t in ts])
     ipk = int(np.argmax(js))
     neg = np.nonzero(js < 0.0)[0]
@@ -844,15 +869,10 @@ def mountain_pass_solve(
     if max_iter < 1:
         raise ValueError("need max_iter >= 1")
     grid = problem.grid
-    w = grid.cell_volume
-    a = problem.nonlinearity.weight_values(grid)
-
-    def norm(vals: np.ndarray) -> float:
-        flat = vals.ravel()
-        return math.sqrt(float(np.dot(flat, flat) * w))
+    nod = _Nodal.of(problem)
 
     def peak(vals: np.ndarray) -> tuple[float, float]:
-        return _RayProfile.of(ScalarField(grid, vals), problem, a).peak()
+        return _RayProfile.of(vals, problem, nod).peak()
 
     t, j = peak(e.values)
     u = t * e.values
@@ -861,12 +881,12 @@ def mountain_pass_solve(
     converged = stagnated = False
     for it in range(1, max_iter + 1):
         g = gradient(ScalarField(grid, u), problem).values
-        gn = norm(g)
+        gn = nod.l2(g)
         if it == 1:
             tol = 5e-5 * gn
         energies.append(j)
         grad_norms.append(gn)
-        norms.append(norm(u))
+        norms.append(nod.l2(u))
         if gn <= tol and it >= 3:
             tail = energies[-_PS_WINDOW:]
             if max(tail) - min(tail) <= _PS_TOL * (1.0 + abs(energies[-1])):
@@ -875,7 +895,7 @@ def mountain_pass_solve(
         s = step
         for _ in range(60):
             trial = u - s * g
-            nt = norm(trial)
+            nt = nod.l2(trial)
             if nt > 0 and math.isfinite(nt):
                 t, jt = peak(trial)
                 if math.isfinite(jt) and jt < j - 1e-14 * (1.0 + abs(j)):
@@ -926,14 +946,14 @@ def mp_geometry_check(
         rhos = tuple(sorted((float(r) for r in rhos), reverse=True))
     if any(r <= 0 for r in rhos):
         raise ValueError("sphere radii must be positive")
-    a = problem.nonlinearity.weight_values(problem.grid)
+    nod = _Nodal.of(problem)
     pool = []  # (ray profile of a sample, 1 / its HW norm)
     for i in range(samples):
         fld = random_dirichlet_field(
             problem.grid, seed=seed + 7 * i, bumps=1 + i % 3,
             rough=0.0 if i % 4 else 0.02,
         )
-        ray = _RayProfile.of(fld, problem, a)
+        ray = _RayProfile.of(fld.values, problem, nod)
         if ray.T > 0:
             pool.append((ray, ray.T ** (-1.0 / problem.p)))
     table = []

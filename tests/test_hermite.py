@@ -14,7 +14,6 @@ import pytest
 import sympy
 
 from heislab import (
-    fourier_transform_1d,
     hermite_fn,
     hermite_fn_scaled,
     hermite_poly,
@@ -84,41 +83,6 @@ def test_hermite_parity():
     for k in range(6):
         v = hermite_fn(k, x)
         assert np.max(np.abs(v[::-1] - (-1.0) ** k * v)) <= 1e-13
-
-
-def test_fourier_gaussian_closed_form():
-    # the standard Gaussian is fixed by the unitary transform
-    xi = np.linspace(-4.0, 4.0, 41)
-    out = fourier_transform_1d(lambda x: np.exp(-0.5 * x * x), xi)
-    np.testing.assert_allclose(out, np.exp(-0.5 * xi * xi), atol=1e-12)
-
-
-def test_fourier_eigenfunctions():
-    # e_k maps to (-i)^k e_k under the unitary transform
-    xi = np.linspace(-3.0, 3.0, 31)
-    for k in range(4):
-        out = fourier_transform_1d(_e(k), xi)
-        expected = (-1j) ** k * hermite_fn(k, xi)
-        assert np.max(np.abs(out - expected)) <= 1e-10
-
-
-def test_fourier_linearity_and_plancherel():
-    def f(x):
-        return np.exp(-0.5 * x * x)
-
-    g = _e(2)
-    xi = np.linspace(-6.0, 6.0, 1201)
-    ff = fourier_transform_1d(f, xi)
-    gg = fourier_transform_1d(g, xi)
-    combo = fourier_transform_1d(lambda x: 2.0 * f(x) - 0.5 * g(x), xi)
-    assert np.max(np.abs(combo - (2.0 * ff - 0.5 * gg))) <= 1e-10
-    # Plancherel for the Hermite member (unit L^2 norm on both sides)
-    assert abs(np.trapezoid(np.abs(gg) ** 2, xi) - 1.0) <= 1e-8
-
-
-def test_fourier_rejects_slow_decay():
-    with pytest.raises(QuadratureTailError):
-        fourier_transform_1d(lambda x: 1.0 / (1.0 + x * x), np.linspace(-1.0, 1.0, 5))
 
 
 def test_wigner_at_origin_closed_form():

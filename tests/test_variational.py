@@ -36,7 +36,7 @@ from heislab import (
     zero_boundary,
 )
 from heislab import operators, variational
-from heislab.variational import _RayProfile
+from heislab.variational import _Nodal, _RayProfile
 
 
 def desk_problem(counts=9, lam=50.0, half=4.0):
@@ -357,7 +357,8 @@ def _trial_by_stencil_search(grid, p, iters, seed):
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_descents_evaluate_each_horizontal_gradient_once(monkeypatch, p):
-    # `gradient` shares one D_H u between its norm and divergence terms.  The
+    # `gradient` shares one D_H u between its norm and divergence terms, and
+    # `ray_scan` one between its ray quadratures and unit-norm check.  The
     # Folland-Stein descent evaluates D_H once for the start field; at p = 2
     # then once on g and once on the accepted u per iteration (the last
     # iteration's u is never differentiated), at other p once per trial.
@@ -371,6 +372,12 @@ def test_descents_evaluate_each_horizontal_gradient_once(monkeypatch, p):
     monkeypatch.setattr(variational, "horizontal_gradient", counting)
     prob = desk_problem()
     gradient(random_dirichlet_field(prob.grid, seed=3, bumps=2), prob)
+    assert len(seen) == 1
+
+    bump = random_dirichlet_field(prob.grid, seed=1, bumps=2)
+    v0 = ScalarField(prob.grid, bump.values / hw_norm(bump, prob))
+    seen.clear()
+    ray_scan(v0, prob, t_max=60.0, steps=400)
     assert len(seen) == 1
 
     seen.clear()
@@ -605,15 +612,15 @@ def _ray_case_problem(case, counts=9, lam=5.0):
 def test_ray_peak_matches_dense_energy_scan(case):
     prob = _ray_case_problem(case)
     grid = prob.grid
-    a = prob.nonlinearity.weight_values(grid)
+    nod = _Nodal.of(prob)
     w = random_dirichlet_field(grid, seed=3, bumps=2)
-    t_peak, j_peak = _RayProfile.of(w, prob, a).peak()
+    t_peak, j_peak = _RayProfile.of(w.values, prob, nod).peak()
     assert t_peak == pytest.approx(_scan_peak(prob, w, t_peak / 4.0, t_peak * 4.0), rel=1e-6)
     assert j_peak > 0
     assert j_peak == pytest.approx(energy(ScalarField(grid, t_peak * w.values), prob), rel=1e-12)
     zero = ScalarField(grid, np.zeros(grid.counts))
     with pytest.raises(RuntimeError, match="no interior ray peak"):
-        _RayProfile.of(zero, prob, a).peak()
+        _RayProfile.of(zero.values, prob, nod).peak()
     with pytest.raises(RuntimeError, match="no interior ray peak"):
         _RayProfile(prob, T=1.0, F=0.0, C=0.0).peak()  # phi rises without bound
 
@@ -651,16 +658,16 @@ def test_ray_profile_coefficients_change_sign_once(case):
     # phi', ordered by exponent and with zeros skipped, read + ... + - ... -
     prob = _ray_case_problem(case)
     assert validate_exponents(prob)["checks"]["growth_window"]
-    a = prob.nonlinearity.weight_values(prob.grid)
+    nod = _Nodal.of(prob)
     for seed in range(3):
-        ray = _RayProfile.of(random_dirichlet_field(prob.grid, seed=seed), prob, a)
+        ray = _RayProfile.of(random_dirichlet_field(prob.grid, seed=seed).values, prob, nod)
         signs = [np.sign(c) for c, _ in sorted(ray._terms, key=lambda term: term[1]) if c != 0.0]
         assert signs[0] == 1.0 and signs[-1] == -1.0
         assert np.count_nonzero(np.diff(signs)) == 1
 
 
 def _slope_sign_changes(prob, w):
-    ray = _RayProfile.of(w, prob, prob.nonlinearity.weight_values(prob.grid))
+    ray = _RayProfile.of(w.values, prob, _Nodal.of(prob))
     slopes = np.array([ray.slope(float(t)) for t in np.geomspace(1e-4, 1e4, 801)])
     assert np.all(slopes != 0.0)
     return int(np.count_nonzero(np.diff(np.sign(slopes))))
@@ -692,8 +699,7 @@ def test_mountain_pass_solve_small(monkeypatch):
     mp = mountain_pass_solve(prob, e, max_iter=8000)
     monkeypatch.undo()
     # the descent starts at the peak of the ray through the endpoint
-    a = prob.nonlinearity.weight_values(prob.grid)
-    assert mp.energies[0] == _RayProfile.of(e, prob, a).peak()[1]
+    assert mp.energies[0] == _RayProfile.of(e.values, prob, _Nodal.of(prob)).peak()[1]
     # ray peaks come from the closed-form profile: energy only checks e
     assert len(calls) == 1
     assert mp.flags["converged"]

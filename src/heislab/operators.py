@@ -82,9 +82,9 @@ def first_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     v = np.ascontiguousarray(values)
     out, s = np.empty_like(v), v.strides[axis] // v.itemsize
     np.subtract(v.ravel()[2 * s:], v.ravel()[:-2 * s], out=out.ravel()[s:-s])
-    v, o = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(v[1], 0.0, out=o[0])
-    np.subtract(0.0, v[-2], out=o[-1])
+    lead = (slice(None),) * (axis % v.ndim)
+    np.subtract(v[lead + (1,)], 0.0, out=out[lead + (0,)])
+    np.subtract(0.0, v[lead + (-2,)], out=out[lead + (-1,)])
     out /= 2.0 * h
     return out
 
@@ -96,13 +96,14 @@ def second_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     (0.0 - 2 u[-1]) + u[-2].
     """
     out = np.multiply(values, 2.0)
-    v, o = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(v[2:], o[1:-1], out=o[1:-1])
-    o[1:-1] += v[:-2]
-    np.subtract(v[1], o[0], out=o[0])
-    o[0] += 0.0
-    np.subtract(0.0, o[-1], out=o[-1])
-    o[-1] += v[-2]
+    lead = (slice(None),) * (axis % out.ndim)
+    mid, first, last = lead + (slice(1, -1),), lead + (0,), lead + (-1,)
+    np.subtract(values[lead + (slice(2, None),)], out[mid], out=out[mid])
+    out[mid] += values[lead + (slice(None, -2),)]
+    np.subtract(values[lead + (1,)], out[first], out=out[first])
+    out[first] += 0.0
+    np.subtract(0.0, out[last], out=out[last])
+    out[last] += values[lead + (-2,)]
     out /= h * h
     return out
 

@@ -504,7 +504,7 @@ def _krylov(S, want: int, floor: float, residual_bound: float, rng, basis: _Basi
     through SciPy's BLAS and LAPACK, the library SuperLU calls: NumPy and
     SciPy wheels each bundle an OpenBLAS with its own thread pool, and with
     two threads, alternating between the two made a step about three times
-    slower.  Returns the Ritz values, the Ritz vectors and the block width.
+    slower.  Returns the Ritz values, vectors and residuals, and the block width.
     """
     n = S.shape[0]
     dtype = basis.flat.dtype
@@ -568,7 +568,7 @@ def _krylov(S, want: int, floor: float, residual_bound: float, rng, basis: _Basi
                         f"Ritz vectors in {where} are not unit vectors (| ||x|| - 1 | "
                         f"up to {drift:.3e}): the Krylov basis lost orthonormality"
                     )
-                return theta, X, width
+                return theta, X, res, width
             next_rr = step + _RR_EVERY
             if top == want:
                 # sooner when the residual's rate since the last one says so
@@ -598,7 +598,7 @@ def _krylov(S, want: int, floor: float, residual_bound: float, rng, basis: _Basi
 
 
 def _krylov_pairs(blocks, m: int, floor: float, residual_bound: float, seed: int):
-    """Lowest eigenpairs of each Hermitian block by ``_krylov``, enough for the merged m.
+    """(values, residuals) of each Hermitian block's lowest pairs, enough for the merged m.
 
     The blocks are the four real rotation sectors of an operator with the
     symmetry, or the complex operator itself as one block.  They are solved
@@ -616,27 +616,27 @@ def _krylov_pairs(blocks, m: int, floor: float, residual_bound: float, seed: int
     where = [f"sector {q}" for q in range(len(blocks))] if len(blocks) > 1 else ["the operator"]
 
     def solve(q, want, **kwargs):
-        w, X, width = _krylov(blocks[q], want, floor, residual_bound, rng, basis,
-                              where[q], **kwargs)
+        w, X, res, width = _krylov(blocks[q], want, floor, residual_bound, rng, basis,
+                                   where[q], **kwargs)
         # copied once the solve's LU and temporaries are freed, the pairs sit
         # low in the heap, and the heap above them can be handed back
-        return w, X.copy(order="F"), width
+        return w, X.copy(order="F"), res, width
 
     want = -(-m // len(blocks))
     parts = [solve(q, min(want, S.shape[0])) for q, S in enumerate(blocks)]
     for q, S in enumerate(blocks):
         # an extension only lowers the cut, below which earlier sectors stay complete
         cut = np.sort(np.concatenate([part[0] for part in parts]))[m - 1] - residual_bound
-        w, X, width = parts[q]
+        w, X, res, width = parts[q]
         count = _count_below(S, cut)
         while (have := np.count_nonzero(w < cut)) < count:
-            w, X, width = solve(q, count, locked=X, width=width)
+            w, X, res, width = solve(q, count, locked=X, width=width)
             if np.count_nonzero(w < cut) <= have:
                 raise EigensolverError(
                     f"Krylov solve in {where[q]} found {have} of its "
                     f"{count} eigenvalues below {cut:.10g}"
                 )
-        parts[q] = w, X
+        parts[q] = w, res
     return parts
 
 
@@ -647,7 +647,7 @@ def _lowest_pairs(A: sp.csr_matrix, m: int, residual_bound: float, seed: int):
     blocks = [A] if bases is None else [(U.conj().T @ (A @ U)).real for U in bases]
     parts = _krylov_pairs(blocks, m, _gershgorin_floor(A), residual_bound, seed)
     vals = np.concatenate([w for w, _ in parts])
-    res = np.concatenate([_residuals(S, w, X) for S, (w, X) in zip(blocks, parts)])
+    res = np.concatenate([res for _, res in parts])
     order = np.argsort(vals, kind="stable")[:m]
     return vals[order], res[order]
 

@@ -47,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import BoxGrid, ScalarField
+from .grid import BoxGrid, HorizontalVectorField, ScalarField
 from .operators import HN, _p_flux_divergence, horizontal_gradient
 
 __all__ = [
@@ -440,10 +440,10 @@ class _Nodal:
             out *= np.sign(vals)
         return out
 
-    def ray(self, vals: np.ndarray, nonlinearity: GrowthNonlinearity) -> tuple[float, float, float]:
-        """(T, F, C) = (T(u), int a |u|^{r_g} / r_g, int |u|^{p*})."""
+    def ray(self, vals: np.ndarray, nonlinearity: GrowthNonlinearity, grad=None) -> tuple:
+        """(T, F, C) = (T(u), int a |u|^{r_g} / r_g, int |u|^{p*}), given G = D_H u if in hand."""
         F = float(np.sum(nonlinearity.big_f(self.a, vals)) * self.w)
-        return self.hw(vals, self.grad(vals)), F, self.power(vals, self.q)
+        return self.hw(vals, self.grad(vals) if grad is None else grad), F, self.power(vals, self.q)
 
     def l2(self, vals: np.ndarray) -> float:
         return math.sqrt(self.dot(vals, vals) * self.w)
@@ -563,6 +563,18 @@ def energy(u: ScalarField, problem: KirchhoffProblem) -> float:
     return _RayProfile.of(u.values, problem, _Nodal.of(problem)).value(1.0)
 
 
+def _gradient(problem: KirchhoffProblem, nod: _Nodal, vals: np.ndarray, grad):
+    """(the gradient's nodal values at u, ring zeroed; T(u)) from u and G = D_H u."""
+    T = nod.hw(vals, grad)
+    core = (
+        problem.kirchhoff.m(T) * (nod.V * nod.odd_power(vals, problem.p) - nod.divergence(grad))
+        - problem.lam * problem.nonlinearity.f(nod.a, vals)
+        - nod.odd_power(vals, nod.q)
+    )
+    core[nod.ring] = 0.0
+    return core, T
+
+
 def gradient(u: ScalarField, problem: KirchhoffProblem) -> ScalarField:
     """Exact gradient of the discrete energy, projected onto the Dirichlet ring.
 
@@ -571,16 +583,8 @@ def gradient(u: ScalarField, problem: KirchhoffProblem) -> ScalarField:
     -div_H(|D_H u|^{p-2} D_H u) of the energy's gradient stencil.
     """
     _check_admissible(u, problem)
-    nod, vals = _Nodal.of(problem), u.values
-    grad = nod.grad(vals)
-    mval = problem.kirchhoff.m(nod.hw(vals, grad))
-    core = (
-        mval * (nod.V * nod.odd_power(vals, problem.p) - nod.divergence(grad))
-        - problem.lam * problem.nonlinearity.f(nod.a, vals)
-        - nod.odd_power(vals, nod.q)
-    )
-    core[nod.ring] = 0.0
-    return ScalarField(u.grid, core)
+    nod = _Nodal.of(problem)
+    return ScalarField(u.grid, _gradient(problem, nod, u.values, nod.grad(u.values))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +795,8 @@ _PS_TOL = 1e-6
 
 @dataclass
 class MPResult:
-    """Mountain-pass outcome: approximate critical point plus the PS log."""
+    """Mountain-pass outcome: approximate critical point plus the PS log, whose
+    ``norms`` are HW norms T(u)^{1/p}, the norm the Palais-Smale condition uses."""
 
     u_star: ScalarField
     energy: float
@@ -858,57 +863,70 @@ def mountain_pass_solve(
     so a converged log passes the monitor.  ``threshold`` is stored for
     reporting; compare against :func:`mp_threshold`.
 
+    D_H is linear, so each iteration evaluates it once, on the direction g: a
+    trial's D_H is D_H u - s D_H g, formed in one reused buffer, and the accepted
+    t (u - s g) carries t times its trial's.  D_H u is evaluated on u_1 only.
+
     ``nodes`` is ignored.  It set the size of a discrete path in an earlier
     two-phase solver, and the benchmark's ``mountain-pass`` workload
     (``bench/workloads.py``) still passes ``nodes=9``; remove it when that
     file next changes.
     """
-    je = energy(e, problem)
+    _check_admissible(e, problem)
+    nod = _Nodal.of(problem)
+    ray = _RayProfile.of(e.values, problem, nod)
+    je = ray.value(1.0)  # energy(e)
     if not je < 0:
         raise ValueError(f"endpoint must have negative energy (got J = {je:.6g})")
     if max_iter < 1:
         raise ValueError("need max_iter >= 1")
     grid = problem.grid
-    nod = _Nodal.of(problem)
-
-    def peak(vals: np.ndarray) -> tuple[float, float]:
-        return _RayProfile.of(vals, problem, nod).peak()
-
-    t, j = peak(e.values)
+    t, j = ray.peak()
     u = t * e.values
+    G = nod.grad(u)  # D_H u, carried from here on
+    trial = np.empty_like(u)  # the trial and its D_H, formed in place for every trial
+    G_trial = HorizontalVectorField(tuple(ScalarField(grid, np.empty_like(u)) for _ in G.components))
     energies, grad_norms, norms = [], [], []
     step = 1.0
     converged = stagnated = False
     for it in range(1, max_iter + 1):
-        g = gradient(ScalarField(grid, u), problem).values
+        g, T = _gradient(problem, nod, u, G)
         gn = nod.l2(g)
         if it == 1:
             tol = 5e-5 * gn
         energies.append(j)
         grad_norms.append(gn)
-        norms.append(nod.l2(u))
+        norms.append(T ** (1.0 / problem.p))
         if gn <= tol and it >= 3:
             tail = energies[-_PS_WINDOW:]
             if max(tail) - min(tail) <= _PS_TOL * (1.0 + abs(energies[-1])):
                 converged = True
                 break
+        G_g = nod.grad(g)
         s = step
         for _ in range(60):
-            trial = u - s * g
+            np.multiply(g, -s, out=trial)
+            trial += u
             nt = nod.l2(trial)
             if nt > 0 and math.isfinite(nt):
-                t, jt = peak(trial)
+                for ct, cu, cg in zip(G_trial.components, G.components, G_g.components):
+                    np.multiply(cg.values, -s, out=ct.values)
+                    np.add(ct.values, cu.values, out=ct.values)
+                t, jt = _RayProfile(problem, *nod.ray(trial, problem.nonlinearity, G_trial)).peak()
                 if math.isfinite(jt) and jt < j - 1e-14 * (1.0 + abs(j)):
                     break
             s *= 0.5
         else:
             stagnated = True
             break
-        u, j, step = t * trial, jt, min(s * 2.0, 1e3)
+        np.multiply(trial, t, out=u)
+        for cu, ct in zip(G.components, G_trial.components):
+            np.multiply(ct.values, t, out=cu.values)
+        j, step = jt, min(s * 2.0, 1e3)
     u_star = ScalarField(grid, u)
     flags = {
         "converged": converged,
-        "positive_norm": hw_norm(u_star, problem) > 1e-10,
+        "positive_norm": norms[-1] > 1e-10,
         "positive_energy": j > 0.0,
         "below_threshold": bool(j < threshold) if math.isfinite(threshold) else None,
     }

@@ -213,10 +213,13 @@ def test_perturbed_sector_pair_fails_residual_check(monkeypatch):
     A = assemble_twisted(1.0, grid)
     m, share, bad = 100, 25, 7
     parts = []
-    for S in [(U.conj().T @ (A @ U)).real.toarray() for U in _rotation_sectors(A)]:
+    for q, U in enumerate(_rotation_sectors(A)):
+        S = (U.conj().T @ (A @ U)).real.toarray()
         w, X = np.linalg.eigh(S)
-        parts.append((w[:share], X[:, :share]))
-    parts[2][1][:, bad] += 1e-6 * np.random.default_rng(0).standard_normal(parts[2][1].shape[0])
+        w, X = w[:share], X[:, :share]
+        if q == 2:
+            X[:, bad] += 1e-6 * np.random.default_rng(0).standard_normal(X.shape[0])
+        parts.append((w, spectral._residuals(S, w, X)))
     monkeypatch.setattr(spectral, "_krylov_pairs", lambda *args: parts)
     merged = np.argsort(np.concatenate([w for w, _ in parts]), kind="stable")
     index = int(np.flatnonzero(merged == 2 * share + bad)[0])
@@ -232,7 +235,7 @@ def test_block_result_missing_a_copy_fails_certificate(monkeypatch):
     keep = [0, 1, 2, 3, 5]  # exact pairs, but the fifth eigenvalue is skipped
 
     def fake_pairs(*args, **kwargs):
-        return [(vals[keep], vecs[:, keep])]
+        return [(vals[keep], spectral._residuals(A, vals[keep], vecs[:, keep]))]
 
     monkeypatch.setattr(spectral, "_krylov_pairs", fake_pairs)
     with pytest.raises(EigensolverError, match="5 eigenvalues below .* returned 4"):
@@ -400,9 +403,9 @@ def _spy_krylov(monkeypatch, drop=None):
         solves.append((S.shape[0], want, locked is not None))
         if drop is None or len(solves) > 1:
             return krylov(S, want, *args, locked=locked, **kwargs)
-        w, X, width = krylov(S, want + 1, *args, locked=locked, **kwargs)
+        w, X, res, width = krylov(S, want + 1, *args, locked=locked, **kwargs)
         keep = np.arange(w.size) != drop
-        return w[keep], X[:, keep], width
+        return w[keep], X[:, keep], res[keep], width
 
     monkeypatch.setattr(spectral, "_krylov", spy)
     return solves
@@ -436,7 +439,7 @@ def test_krylov_basis_grows_past_an_invariant_subspace(dtype):
     if dtype is complex:
         Q = np.linalg.qr(_random_block(complex, shape=(100, 100)))[0]
         S = sp.csr_matrix(Q @ S.toarray() @ Q.conj().T)
-    w, X, width = spectral._krylov(
+    w, X, _, width = spectral._krylov(
         S, 70, 0.0, 1e-8, np.random.default_rng(0), spectral._Basis(dtype), "the operator"
     )
     assert X.dtype == dtype
@@ -501,8 +504,8 @@ def test_krylov_result_missing_a_copy_fails_certificate(monkeypatch):
 
     def short_pairs(blocks, m, *args):
         parts = krylov_pairs(blocks, m + 4, *args)  # one pair more per sector
-        w, X = parts[0]
-        parts[0] = w[1:], X[:, 1:]
+        w, res = parts[0]
+        parts[0] = w[1:], res[1:]
         return parts
 
     monkeypatch.setattr(spectral, "_krylov_pairs", short_pairs)

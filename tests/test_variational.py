@@ -16,6 +16,7 @@ from heislab import (
     BoxGrid,
     FSResult,
     GrowthNonlinearity,
+    HorizontalVectorField,
     KirchhoffM,
     KirchhoffProblem,
     MPResult,
@@ -359,9 +360,13 @@ def _trial_by_stencil_search(grid, p, iters, seed):
 def test_descents_evaluate_each_horizontal_gradient_once(monkeypatch, p):
     # `gradient` shares one D_H u between its norm and divergence terms, and
     # `ray_scan` one between its ray quadratures and unit-norm check.  The
-    # Folland-Stein descent evaluates D_H once for the start field; at p = 2
-    # then once on g and once on the accepted u per iteration (the last
-    # iteration's u is never differentiated), at other p once per trial.
+    # mountain pass evaluates D_H on e for its ray and on the first iterate,
+    # then once per iteration on the descent direction g, whose multiples
+    # give every trial's D_H and the accepted iterate's; the converging
+    # iteration takes no trial.  The Folland-Stein descent evaluates D_H
+    # once for the start field; at p = 2 then once on g and once on the
+    # accepted u per iteration (the last iteration's u is never
+    # differentiated), at other p once per trial.
     seen = []
 
     def counting(u, *args, **kwargs):
@@ -377,8 +382,14 @@ def test_descents_evaluate_each_horizontal_gradient_once(monkeypatch, p):
     bump = random_dirichlet_field(prob.grid, seed=1, bumps=2)
     v0 = ScalarField(prob.grid, bump.values / hw_norm(bump, prob))
     seen.clear()
-    ray_scan(v0, prob, t_max=60.0, steps=400)
+    rs = ray_scan(v0, prob, t_max=60.0, steps=400)
     assert len(seen) == 1
+
+    seen.clear()
+    mp = mountain_pass_solve(prob, ScalarField(prob.grid, rs["t_negative"] * v0.values))
+    assert mp.flags["converged"]
+    assert len(seen) == mp.iterations + 1
+    assert len({v.tobytes() for v in seen}) == len(seen)
 
     seen.clear()
     grid = BoxGrid((-4.0,) * 3, (4.0,) * 3, (9,) * 3)
@@ -390,6 +401,43 @@ def test_descents_evaluate_each_horizontal_gradient_once(monkeypatch, p):
     history, calls = _trial_by_stencil_search(grid, p, 15, seed=2)
     assert len(history) == 16
     assert len(seen) == (2 * fs.iterations if p == 2 else calls)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_ray_quadratures_take_a_trial_gradient_by_linearity(p):
+    # D_H(u - s g) = D_H u - s D_H g: the mountain pass's trials take their
+    # T from that combination instead of a stencil pass on the trial
+    grid = BoxGrid((-4.0,) * 3, (4.0,) * 3, (11,) * 3)
+    nod = _Nodal(grid, p, V=1.0, a=1.0)
+    u = random_dirichlet_field(grid, seed=21, bumps=3, rough=0.05).values
+    g = random_dirichlet_field(grid, seed=22, bumps=2, rough=0.05).values
+    s = 0.37
+    trial = u - s * g
+    G_u, G_g = nod.grad(u), nod.grad(g)
+    linear = HorizontalVectorField(tuple(
+        ScalarField(grid, cu.values - s * cg.values) for cu, cg in zip(G_u.components, G_g.components)
+    ))
+    nl = GrowthNonlinearity(3.5, 3.5)
+    T, F, C = nod.ray(trial, nl, linear)
+    T_ref, F_ref, C_ref = nod.ray(trial, nl)
+    assert T == pytest.approx(T_ref, rel=1e-13, abs=0.0)
+    assert (F, C) == (F_ref, C_ref)
+
+
+def test_mountain_pass_energy_is_the_energy_of_its_critical_point():
+    # the carried D_H of the iterates must not drift from a fresh stencil
+    # pass: criterion 11's problem at 17^3, to the bound of the benchmark check
+    prob = KirchhoffProblem(
+        n=1, p=2.0, lam=50.0, kirchhoff=KirchhoffM.nondegenerate(1.0, 1.0, 1.5),
+        nonlinearity=GrowthNonlinearity(3.5, 3.5), grid=BoxGrid.cube(4.0, 17, 3),
+    )
+    bump = dirichlet_field(prob.grid, lambda *m: np.exp(-sum(c * c for c in m) / (2.0 * 1.2**2)))
+    v0 = ScalarField(prob.grid, bump.values / hw_norm(bump, prob))
+    ray = ray_scan(v0, prob, t_max=24.0, steps=200)
+    mp = mountain_pass_solve(prob, ScalarField(prob.grid, ray["t_negative"] * v0.values))
+    assert mp.flags["converged"] and mp.iterations == 370
+    assert mp.energy == pytest.approx(energy(mp.u_star, prob), rel=1e-12, abs=0.0)
+    assert mp.norms[-1] == pytest.approx(hw_norm(mp.u_star, prob), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -700,8 +748,8 @@ def test_mountain_pass_solve_small(monkeypatch):
     monkeypatch.undo()
     # the descent starts at the peak of the ray through the endpoint
     assert mp.energies[0] == _RayProfile.of(e.values, prob, _Nodal.of(prob)).peak()[1]
-    # ray peaks come from the closed-form profile: energy only checks e
-    assert len(calls) == 1
+    # the endpoint check and the ray peaks come from closed-form profiles
+    assert calls == []
     assert mp.flags["converged"]
     assert mp.flags["positive_norm"]
     assert mp.flags["positive_energy"]

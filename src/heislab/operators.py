@@ -72,15 +72,18 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def first_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+def first_diff(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """Central first difference (u[i+1] - u[i-1]) / (2 h), O(h^2), zero ghost values.
 
-    One fresh array: a slice difference over the flat C-order array at the
-    axis stride (contiguous on every axis), then the axis ends, which it got
-    wrong, as u[1] - 0.0 and 0.0 - u[-2].
+    Written into ``out`` (C-contiguous, shaped like ``values``, not ``values``
+    itself), or into one fresh array: a slice difference over the flat C-order
+    array at the axis stride (contiguous on every axis), then the axis ends,
+    which it got wrong, as u[1] - 0.0 and 0.0 - u[-2].
     """
     v = np.ascontiguousarray(values)
-    out, s = np.empty_like(v), v.strides[axis] // v.itemsize
+    out, s = np.empty_like(v) if out is None else out, v.strides[axis] // v.itemsize
+    if not out.flags.c_contiguous:
+        raise ValueError("first_diff writes into C-contiguous arrays only")
     np.subtract(v.ravel()[2 * s:], v.ravel()[:-2 * s], out=out.ravel()[s:-s])
     lead = (slice(None),) * (axis % v.ndim)
     np.subtract(v[lead + (1,)], 0.0, out=out[lead + (0,)])
@@ -190,23 +193,30 @@ def _like(u, vals):
     return vals if isinstance(u, PolyField) else u._new(vals)
 
 
-def _t_diff(u, conv: FieldConvention):
+def _t_diff(u, conv: FieldConvention, out=None):
     if isinstance(u, PolyField):
         return u.diff(u.nvars - 1)
     tax = conv.t_axis(u.ndim)
-    return first_diff(u.values, tax, u.grid.spacing[tax])
+    return first_diff(u.values, tax, u.grid.spacing[tax], out)
+
+
+def _terms(conv: FieldConvention, n: int) -> list[tuple[int, int, float]]:
+    """:func:`_first_order`'s (axis, coeff_axis, coeff) for X_1 .. X_n, Y_1 .. Y_n."""
+    pairs = [conv.pair(j, n) for j in range(n)]
+    return [(a, b, 2.0 * sx) for a, b, sx, _ in pairs] + [(b, a, 2.0 * sy) for a, b, _, sy in pairs]
 
 
 def _first_order(u, axis: int, coeff_axis: int, coeff: float, conv: FieldConvention, dt=None,
-                 spend=False):
-    """D_axis u + coeff * coord_{coeff_axis} * D_t u; ``dt`` is D_t u if already in hand
-    (one made here, or handed over with ``spend``, is scaled in place)."""
+                 spend=False, out=None, scratch=None):
+    """D_axis u + coeff * coord_{coeff_axis} * D_t u, in ``out``; ``dt`` is D_t u if in hand, else
+    made in ``scratch``.  The D_t term is formed in ``dt`` if that was made here or handed over
+    with ``spend``, else in ``scratch``; fresh arrays stand in for those not given."""
     if isinstance(u, PolyField):
         return u.diff(axis) + coeff * PolyField.variable(coeff_axis, u.nvars) * _t_diff(u, conv)
-    spend = spend or dt is None
-    dt = _t_diff(u, conv) if dt is None else dt
-    vals = first_diff(u.values, axis, u.grid.spacing[axis])
-    vals += np.multiply(_coeff_mesh(u.grid, coeff_axis, coeff), dt, out=dt if spend else None)
+    if dt is None:
+        dt, spend = _t_diff(u, conv, scratch), True
+    vals = first_diff(u.values, axis, u.grid.spacing[axis], out)
+    vals += np.multiply(_coeff_mesh(u.grid, coeff_axis, coeff), dt, out=dt if spend else scratch)
     return u._new(vals)
 
 
@@ -246,31 +256,35 @@ def commutator_check(j: int, k: int, u, conv: FieldConvention = HN) -> float:
 # ---------------------------------------------------------------------------
 
 
-def horizontal_gradient(u, conv: FieldConvention = HN):
-    """D_H u = (X_1 u, ..., X_n u, Y_1 u, ..., Y_n u)."""
-    n = _n_of(u, conv)
-    pairs = [conv.pair(j, n) for j in range(n)]
-    dt = None if isinstance(u, PolyField) else _t_diff(u, conv)
-    comps = [_first_order(u, a, b, 2.0 * sx, conv, dt) for a, b, sx, _ in pairs]
-    comps += [_first_order(u, b, a, 2.0 * sy, conv, dt, spend=j == n - 1)
-              for j, (a, b, _, sy) in enumerate(pairs)]
-    return tuple(comps) if isinstance(u, PolyField) else HorizontalVectorField(tuple(comps))
+def horizontal_gradient(u, conv: FieldConvention = HN, out=None, scratch=None):
+    """D_H u = (X_1 u, ..., X_n u, Y_1 u, ..., Y_n u); on a grid, into ``out``, 2n C-contiguous
+    arrays whose last holds each earlier D_t term until it is formed, with D_t u in ``scratch``,
+    or bitwise the same on fresh arrays."""
+    terms = _terms(conv, _n_of(u, conv))
+    if isinstance(u, PolyField):
+        return tuple(_first_order(u, *term, conv) for term in terms)
+    out = [None] * len(terms) if out is None else out
+    dt, last = _t_diff(u, conv, scratch), len(terms) - 1
+    return HorizontalVectorField(tuple(
+        _first_order(u, *term, conv, dt, k == last, out[k], out[last]) for k, term in enumerate(terms)
+    ))
 
 
-def horizontal_divergence(F, conv: FieldConvention = HN):
-    """div_H F = sum_j (X_j F_j + Y_j F_{n+j}) for a 2n-component field."""
+def horizontal_divergence(F, conv: FieldConvention = HN, out=None, scratch=None):
+    """div_H F = sum_j (X_j F_j + Y_j F_{n+j}) for a 2n-component field; on a grid, into
+    ``out`` with ``scratch``, two arrays, for each later term and its D_t, or bitwise the
+    same on fresh arrays."""
     poly = isinstance(F, (tuple, list)) and F and isinstance(F[0], PolyField)
     if not poly and not isinstance(F, HorizontalVectorField):
         raise DimensionMismatchError("expected a HorizontalVectorField or tuple of PolyField")
     comps = tuple(F) if poly else F.components
-    n = len(comps) // 2
-    if len(comps) != 2 * n or n == 0:
-        raise DimensionMismatchError("horizontal fields need an even, positive component count")
-    acc = _vals(apply_X(0, comps[0], conv))
-    for j in range(1, n):
-        acc += _vals(apply_X(j, comps[j], conv))
-    for j in range(n):
-        acc += _vals(apply_Y(j, comps[n + j], conv))
+    terms = _terms(conv, _n_of(comps[0], conv))
+    if len(comps) != len(terms):
+        raise DimensionMismatchError(f"div_H takes {len(terms)} components here, got {len(comps)}")
+    term, dt = (None, None) if scratch is None else scratch
+    acc = _vals(_first_order(comps[0], *terms[0], conv, out=out, scratch=dt))
+    for c, t in zip(comps[1:], terms[1:]):
+        acc += _vals(_first_order(c, *t, conv, out=term, scratch=dt))
     return acc if poly else ScalarField(F.grid, acc)
 
 
@@ -431,13 +445,14 @@ def p_sublaplacian(
     return _p_flux_divergence(horizontal_gradient(u, conv), p, conv, eps_reg)
 
 
-def _p_flux_divergence(grad: HorizontalVectorField, p: float, conv: FieldConvention, eps_reg=None):
+def _p_flux_divergence(grad, p: float, conv: FieldConvention, eps_reg=None, out=None, scratch=None):
     """div_H(|G|^{p-2} G) for G = D_H u on the grid: Delta_{H,p} u from a gradient in hand.
 
     At p = 2 the weight (|G|^2 + eps_reg)^0 is 1.0 exactly and is skipped.
+    ``out`` and ``scratch`` go to :func:`horizontal_divergence`.
     """
     if p == 2:
-        return horizontal_divergence(grad, conv)
+        return horizontal_divergence(grad, conv, out, scratch)
     if eps_reg is None:
         eps_reg = 0.0 if p >= 2 else 1e-12
     norm2 = np.zeros(grad.grid.counts, dtype=float)
@@ -451,7 +466,7 @@ def _p_flux_divergence(grad: HorizontalVectorField, p: float, conv: FieldConvent
     weighted = HorizontalVectorField(
         tuple(ScalarField(grad.grid, weight * c.values) for c in grad.components)
     )
-    return horizontal_divergence(weighted, conv)
+    return horizontal_divergence(weighted, conv, out, scratch)
 
 
 # ---------------------------------------------------------------------------

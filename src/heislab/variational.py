@@ -381,7 +381,8 @@ class _Nodal:
     times the cell volume ``w`` (so w * dot(a, b) is the L^2 pairing).  At
     p = 2 and p* = 4 integrands are products, not ``pow`` passes, which cost
     several times more.  ``q`` is p*; ``V`` and ``a`` are the potential and
-    the nonlinearity's weight on the grid.
+    the nonlinearity's weight on the grid.  D_H and the divergence take work
+    buffers, with the same results as on fresh arrays.
     """
 
     def __init__(self, grid: BoxGrid, p: float, V=0.0, a=0.0) -> None:
@@ -399,13 +400,14 @@ class _Nodal:
     def dot(a: np.ndarray, b: np.ndarray) -> float:  # np.dot would wake the BLAS threads
         return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
-    def grad(self, vals: np.ndarray):
-        return horizontal_gradient(ScalarField(self.grid, vals))
+    def grad(self, vals: np.ndarray, out=None, scratch=None):
+        """D_H u, in the arrays ``out`` with D_t u in ``scratch`` when given."""
+        return horizontal_gradient(ScalarField(self.grid, vals), HN, out=out, scratch=scratch)
 
-    def divergence(self, grad) -> np.ndarray:
-        """div_H(|G|^{p-2} G) for G = D_H u, as a new array; its negative is
-        the exact adjoint of D_H applied to the p-flux."""
-        return _p_flux_divergence(grad, self.p, HN).values
+    def divergence(self, grad, out=None, scratch=None) -> np.ndarray:
+        """div_H(|G|^{p-2} G) for G = D_H u, in ``out`` with two ``scratch`` arrays
+        when given; its negative is the exact adjoint of D_H applied to the p-flux."""
+        return _p_flux_divergence(grad, self.p, HN, out=out, scratch=scratch).values
 
     def dirichlet(self, grad) -> float:
         """int |D_H u|^p, from G = D_H u."""
@@ -631,7 +633,9 @@ def folland_stein_constant(
     is a monotone-descent certificate.  A trial u - s g of the halving and
     doubling line search is scored unnormalized; at p = 2 its numerator is the
     quadratic ||D_H u||^2 - 2 s <-div_H D_H u, g> + s^2 ||D_H g||^2 (the
-    divergence is the exact adjoint), so D_H is evaluated on u and g only.
+    divergence is the exact adjoint), D_H is evaluated once per iteration, on
+    g, and D_H u is carried by linearity as (D_H u - s D_H g) / ||u - s g||_{p*},
+    all in 3 + 4n arrays made once per call.  At other p each trial evaluates D_H.
 
     The value bounds the grid infimum from above, but it is no bound on the
     continuum best constant in either direction: the central differences
@@ -646,23 +650,20 @@ def folland_stein_constant(
     nod = _Nodal(grid, p)
     p_star = nod.q
     u = random_dirichlet_field(grid, seed=seed, bumps=2).values
-    work = u.copy()  # scratch: |u|^{p*-1}, then the trials; after a step, the old g
+    work = u.copy()  # scratch: |u|^{p*-1}, then the trials; D_t g at p = 2, else the old g
     u /= nod.power(work, p_star, out=work) ** (1.0 / p_star)
-    grad = nod.grad(u)
-    num = nod.dirichlet(grad)
+    G = nod.grad(u, scratch=work)  # D_H u: carried at p = 2, the accepted trial's at p != 2
     np.copyto(work, u)
-    q = num / nod.power(work, p_star, out=work) ** (p / p_star)
+    q = nod.dirichlet(G) / nod.power(work, p_star, out=work) ** (p / p_star)
+    if p == 2:  # g and D_H g, whose arrays are div_H's scratch until D_H g is formed
+        g, G_g = np.empty_like(u), [np.empty_like(u) for _ in G.components]
     history = [q]
     step = 0.5
     stagnated = False
     for _ in range(iters):
-        if grad is None:  # p = 2: D_H of the accepted u, for A and the divergence
-            grad = nod.grad(u)
-            num = nod.dirichlet(grad)
         # u is kept ||u||_{p*} = 1, so the quotient gradient reduces to
         # g = p * (ap - q * sign(u) |u|^{p*-1}) with ap = -div_H(|D_H u|^{p-2} D_H u)
-        g = nod.divergence(grad)
-        grad = None
+        g = nod.divergence(G, g, G_g[:2]) if p == 2 else nod.divergence(G)
         work = nod.odd_power(u, p_star, out=work)
         work *= q
         g += work
@@ -672,17 +673,17 @@ def folland_stein_constant(
         if gg == 0.0:
             break
         if p == 2:  # B = <D_H u, D_H g> = <ap, g>, and ap = g / p + work off the ring
-            B = (gg / p + nod.dot(work, g)) * nod.w
-            C = nod.dirichlet(nod.grad(g))
+            A, B = nod.dirichlet(G), (gg / p + nod.dot(work, g)) * nod.w
+            C = nod.dirichlet(nod.grad(g, G_g, work))
         while step > 1e-16:
             np.multiply(g, -step, out=work)
             work += u
             if p == 2:
-                tn = num - 2.0 * step * B + step * step * C
+                tn = A - 2.0 * step * B + step * step * C
             else:
-                grad = None  # let the last trial's D_H go before forming this one's
-                grad = nod.grad(work)
-                tn = nod.dirichlet(grad)
+                G = None  # let the last trial's D_H go before forming this one's
+                G = nod.grad(work)
+                tn = nod.dirichlet(G)
             den = nod.power(work, p_star, out=work)
             tq = tn / den ** (p / p_star)
             if tq < q - 1e-12 * (1.0 + abs(q)):
@@ -691,16 +692,20 @@ def folland_stein_constant(
         else:
             stagnated = True
             break
-        # u <- (u - step g) / ||u - step g||_{p*}; at p != 2 the trial's D_H
-        # scales with it and serves the next divergence
+        # u <- (u - step g) / ||u - step g||_{p*}, and D_H u with it: by
+        # linearity at p = 2, as the accepted trial's at p != 2
         c = den ** (1.0 / p_star)
         np.multiply(g, -step, out=work)
         u += work
         u /= c
-        if grad is not None:
-            for comp in grad.components:
-                np.divide(comp.values, c, out=comp.values)
-        work = g
+        if p == 2:  # D_H g is spent
+            for comp, cg in zip(G.components, G_g):
+                cg *= -step
+                np.add(comp.values, cg, out=comp.values)
+        else:
+            work = g
+        for comp in G.components:
+            np.divide(comp.values, c, out=comp.values)
         q = tq
         history.append(q)
         step = min(step * 2.0, 1e3)
@@ -861,7 +866,8 @@ def mountain_pass_solve(
     ``gradient_norms[0]``; stored as ``MPResult.tol``) and an energy tail
     that is Cauchy under :func:`ps_monitor`'s default window and tolerance,
     so a converged log passes the monitor.  ``threshold`` is stored for
-    reporting; compare against :func:`mp_threshold`.
+    reporting; compare against :func:`mp_threshold`.  When ``max_iter`` runs
+    out, the result is the last logged iterate.
 
     D_H is linear, so each iteration evaluates it once, on the direction g: a
     trial's D_H is D_H u - s D_H g, formed in one reused buffer, and the accepted
@@ -902,6 +908,8 @@ def mountain_pass_solve(
             if max(tail) - min(tail) <= _PS_TOL * (1.0 + abs(energies[-1])):
                 converged = True
                 break
+        if it == max_iter:  # the logged iterate is the result
+            break
         G_g = nod.grad(g)
         s = step
         for _ in range(60):

@@ -397,6 +397,57 @@ def test_stencils_bitwise_equal_to_shifted_copy_reference(conv, grid, complex_):
         assert np.array_equal(apply_Zbar(u, H3).values, _ref_z(values, grid, 1))
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        BoxGrid((-1.0, -2.5, -0.7), (1.5, 2.0, 0.9), (7, 11, 13)),
+        BoxGrid((-1.0, -0.5, -2.0, -1.5, -0.8), (1.2, 1.5, 2.0, 1.0, 1.1), (5, 7, 9, 5, 11)),
+    ],
+    ids=["hn1", "hn2"],
+)
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_stencils_into_given_buffers_equal_fresh_ones_bitwise(grid, complex_):
+    # The buffered calls run the allocating calls' code on the caller's arrays:
+    # the same bits, returned in the given arrays, whatever those held before.
+    rng = np.random.default_rng(47)
+    values = _random_values(rng, grid.counts, complex_)
+    u = ScalarField(grid, values)
+
+    def garbage():
+        return np.full(grid.counts, np.nan, dtype=values.dtype)
+
+    for axis, h in enumerate(grid.spacing):
+        out = garbage()
+        assert first_diff(values, axis, h, out) is out
+        assert np.array_equal(out, first_diff(values, axis, h))
+    out, scratch = [garbage() for _ in range(grid.ndim - 1)], garbage()
+    grad = horizontal_gradient(u, HN, out=out, scratch=scratch)
+    assert all(c.values is o for c, o in zip(grad.components, out))
+    fresh = horizontal_gradient(u, HN)
+    assert all(np.array_equal(c.values, f.values) for c, f in zip(grad.components, fresh.components))
+    F = HorizontalVectorField(tuple(
+        ScalarField(grid, _random_values(rng, grid.counts, complex_)) for _ in range(grid.ndim - 1)
+    ))
+    out, scratch = garbage(), (garbage(), garbage())
+    div = horizontal_divergence(F, HN, out=out, scratch=scratch)
+    assert div.values is out
+    assert np.array_equal(out, horizontal_divergence(F, HN).values)
+
+
+@pytest.mark.parametrize("ndim,comps", [(3, 4), (5, 2)])
+def test_divergence_needs_one_component_per_horizontal_field(ndim, comps):
+    grid = BoxGrid.cube(1.0, 5, ndim)
+    F = HorizontalVectorField(tuple(ScalarField(grid, np.ones(grid.counts)) for _ in range(comps)))
+    with pytest.raises(DimensionMismatchError):
+        horizontal_divergence(F, HN)
+
+
+def test_first_diff_refuses_an_output_it_cannot_write_through():
+    values = np.random.default_rng(5).standard_normal((5, 7, 9))
+    with pytest.raises(ValueError):
+        first_diff(values, 1, 0.5, np.empty((9, 7, 5)).T)
+
+
 def test_twisted_laplacian_bitwise_equal_to_shifted_copy_reference():
     rng = np.random.default_rng(43)
     grid = BoxGrid((-3.0, -2.0), (3.0, 2.5), (13, 9))

@@ -15,19 +15,6 @@ class QuadratureTailError(HeislabError, ValueError):
     """An integrand does not decay below the tail guard at the quadrature window edge."""
 
 
-class SingularGradientError(HeislabError, ValueError):
-    """p < 2 with no regularization hit nodes where the horizontal gradient vanishes."""
-
-    def __init__(self, nodes):
-        self.nodes = list(nodes)
-        preview = ", ".join(str(n) for n in self.nodes[:8])
-        more = "" if len(self.nodes) <= 8 else f", ... ({len(self.nodes)} total)"
-        super().__init__(
-            "singular horizontal gradient at nodes [" + preview + more + "]; "
-            "set eps_reg > 0 to regularize"
-        )
-
-
 class StructureMismatchError(HeislabError, RuntimeError):
     """Eigenvalue clusters do not form an (approximately) equally spaced ladder."""
 

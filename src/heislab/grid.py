@@ -108,8 +108,8 @@ class BoxGrid:
 class ScalarField:
     """One value per grid node; dtype float64 or complex128.
 
-    Fields are treated as immutable: operators return new fields and never
-    mutate ``values`` in place.
+    Operators never write into their inputs' ``values``.  They return new
+    fields, or fields over destination arrays that the caller hands them.
     """
 
     grid: BoxGrid

@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, SingularGradientError
+from .exceptions import DimensionMismatchError
 from .geometry import HeisPoint
 from .grid import BoxGrid, HorizontalVectorField, ScalarField
 from .polyfield import PolyField
@@ -414,23 +414,14 @@ def twisted_laplacian(u: ScalarField, tau: float, angular_sign: int = 1) -> Scal
     return u._new(-lap + pot + ang)
 
 
-def p_sublaplacian(
-    u,
-    p: float,
-    eps_reg: float | None = None,
-    conv: FieldConvention = HN,
-):
-    """Delta_{H,p} u = div_H(|D_H u|^{p-2} D_H u) with optional regularization.
+def p_sublaplacian(u, p: float, conv: FieldConvention = HN):
+    """Delta_{H,p} u = div_H(|D_H u|^{p-2} D_H u).
 
-    The weight is computed as ``(|D_H u|^2 + eps_reg)^{(p-2)/2}``.  Defaults:
-    eps_reg = 0 for p >= 2 and 1e-12 for p < 2.  With p < 2 and eps_reg = 0,
-    nodes where the horizontal gradient vanishes are collected and reported
-    via :class:`SingularGradientError`.
+    The flux |D_H u|^{p-2} D_H u is taken as 0 where D_H u = 0, its limit
+    there for every p > 1.
     """
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
-    if eps_reg is not None and eps_reg < 0:
-        raise ValueError("eps_reg must be nonnegative")
     if isinstance(u, PolyField):
         if p != 4:
             raise DimensionMismatchError(
@@ -442,27 +433,25 @@ def p_sublaplacian(
             w = w + comp * comp
         weighted = tuple(w * c for c in grad)
         return horizontal_divergence(weighted, conv)
-    return _p_flux_divergence(horizontal_gradient(u, conv), p, conv, eps_reg)
+    return _p_flux_divergence(horizontal_gradient(u, conv), p, conv)
 
 
-def _p_flux_divergence(grad, p: float, conv: FieldConvention, eps_reg=None, out=None, scratch=None):
+def _p_flux_divergence(grad, p: float, conv: FieldConvention, out=None, scratch=None):
     """div_H(|G|^{p-2} G) for G = D_H u on the grid: Delta_{H,p} u from a gradient in hand.
 
-    At p = 2 the weight (|G|^2 + eps_reg)^0 is 1.0 exactly and is skipped.
-    ``out`` and ``scratch`` go to :func:`horizontal_divergence`.
+    The weight |G|^{p-2} is 0 where |G|^2 = 0, so the flux is 0 there, its
+    limit for every p > 1; below p = 2 the power alone would read inf.  At
+    p = 2 the weight is 1.0 exactly and is skipped.  ``out`` and ``scratch``
+    go to :func:`horizontal_divergence`.
     """
     if p == 2:
         return horizontal_divergence(grad, conv, out, scratch)
-    if eps_reg is None:
-        eps_reg = 0.0 if p >= 2 else 1e-12
     norm2 = np.zeros(grad.grid.counts, dtype=float)
     for c in grad.components:
         norm2 += np.abs(c.values) ** 2
-    if p < 2 and eps_reg == 0.0:
-        sing = np.argwhere(norm2 == 0.0)
-        if sing.size:
-            raise SingularGradientError([tuple(int(i) for i in row) for row in sing])
-    weight = (norm2 + eps_reg) ** ((p - 2.0) / 2.0)
+    with np.errstate(divide="ignore"):
+        weight = norm2 ** ((p - 2.0) / 2.0)
+    weight[norm2 == 0.0] = 0.0
     weighted = HorizontalVectorField(
         tuple(ScalarField(grad.grid, weight * c.values) for c in grad.components)
     )

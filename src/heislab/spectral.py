@@ -62,7 +62,7 @@ from .exceptions import (
 )
 from .grid import BoxGrid, ScalarField
 from .hermite import fourier_wigner_table, hermite_fn_scaled
-from .operators import HN, FieldConvention, sublaplacian, twisted_laplacian
+from .operators import sublaplacian, twisted_laplacian
 
 __all__ = [
     "ConventionChoice",
@@ -395,6 +395,9 @@ _RR_EVERY = 4
 _PROBE_WIDTH = 8
 # A converged Ritz vector whose norm is off 1 by more than this is refused.
 _UNIT_DRIFT = 1e-8
+# Every eigenpair's residual must be at most this, and the inertia
+# certificate counts eigenvalues this far below the m-th.
+_RESIDUAL_BOUND = 1e-8
 
 
 def _cholesky_qr(Y: np.ndarray, shift: float = 0.0, limit: float = 0.0) -> bool:
@@ -477,8 +480,8 @@ class _Basis:
         return self.flat[: n * cols].reshape((n, cols), order="F")
 
 
-def _krylov(S, want: int, floor: float, residual_bound: float, rng, basis: _Basis,
-            where: str, locked: np.ndarray | None = None, width: int = 0):
+def _krylov(S, want: int, floor: float, rng, basis: _Basis, where: str,
+            locked: np.ndarray | None = None, width: int = 0):
     """Lowest ``want`` eigenpairs of a Hermitian block S by shift-invert block Krylov.
 
     S is a real symmetric rotation sector or a complex Hermitian operator;
@@ -493,7 +496,7 @@ def _krylov(S, want: int, floor: float, residual_bound: float, rng, basis: _Basi
     of S, where Rayleigh-Ritz is exact.  Rayleigh-Ritz runs every
     ``_RR_EVERY`` steps, sooner when the residual's rate since the last one
     predicts convergence, and the solve stops when each of the ``want``
-    lowest Ritz pairs meets ``residual_bound``.  Blocks are ``width`` wide,
+    lowest Ritz pairs meets ``_RESIDUAL_BOUND``.  Blocks are ``width`` wide,
     and sigma is ``floor``.  With width 0 the blocks start ``_PROBE_WIDTH``
     wide, and the first Rayleigh-Ritz widens them to S's inertia count below
     ``theta_1 + _BAND |theta_1|``, the multiplicity of the lowest cluster
@@ -559,7 +562,7 @@ def _krylov(S, want: int, floor: float, residual_bound: float, rng, basis: _Basi
             X = gemm(1.0, V[:, :k], Y)
             res = _residuals(S, theta, X)
             worst = res.max()
-            if top == want and worst <= residual_bound:
+            if top == want and worst <= _RESIDUAL_BOUND:
                 # the residuals assume unit vectors: a basis that lost
                 # orthonormality shrinks them under the bound
                 drift = np.abs(_column_norms(X) - 1.0).max()
@@ -574,13 +577,13 @@ def _krylov(S, want: int, floor: float, residual_bound: float, rng, basis: _Basi
                 # sooner when the residual's rate since the last one says so
                 if last_rr and worst < last_rr[1]:
                     rate = math.log(worst / last_rr[1]) / (step - last_rr[0])
-                    next_rr = step + min(_RR_EVERY, max(1, math.ceil(math.log(residual_bound / worst) / rate)))
+                    next_rr = step + min(_RR_EVERY, max(1, math.ceil(math.log(_RESIDUAL_BOUND / worst) / rate)))
                 last_rr = step, worst
             if not sized:
                 del lu
                 count = _count_below(S, theta[0] + _BAND * abs(theta[0]))
                 width, sized = max(width, count), True
-                lu, below = _shifted_lu(S, max(theta[0] - max(res[0], residual_bound), floor))
+                lu, below = _shifted_lu(S, max(theta[0] - max(res[0], _RESIDUAL_BOUND), floor))
                 if below:
                     del lu
                     lu = _shifted_lu(S, floor)[0]
@@ -593,18 +596,18 @@ def _krylov(S, want: int, floor: float, residual_bound: float, rng, basis: _Basi
         append(Y)
     raise EigensolverError(
         f"Krylov solve in {where} did not converge in {_MAX_ITER} steps: "
-        f"worst residual {worst:.3e} exceeds {residual_bound:.1e}"
+        f"worst residual {worst:.3e} exceeds {_RESIDUAL_BOUND:.1e}"
     )
 
 
-def _krylov_pairs(blocks, m: int, floor: float, residual_bound: float, seed: int):
+def _krylov_pairs(blocks, m: int, floor: float, seed: int):
     """(values, residuals) of each Hermitian block's lowest pairs, enough for the merged m.
 
     The blocks are the four real rotation sectors of an operator with the
     symmetry, or the complex operator itself as one block.  They are solved
     one after another in one work array, each for ``ceil(m / len(blocks))``
     pairs, about its share of the m lowest.  Then each block's inertia
-    below ``cut = theta_m - residual_bound`` (theta_m the merged m-th value)
+    below ``cut = theta_m - _RESIDUAL_BOUND`` (theta_m the merged m-th value)
     is compared with its values below cut.  A block that holds more, because
     its share was short or its Krylov blocks missed copies of a level, is
     solved again for that count, with its pairs locked into the basis and
@@ -616,8 +619,7 @@ def _krylov_pairs(blocks, m: int, floor: float, residual_bound: float, seed: int
     where = [f"sector {q}" for q in range(len(blocks))] if len(blocks) > 1 else ["the operator"]
 
     def solve(q, want, **kwargs):
-        w, X, res, width = _krylov(blocks[q], want, floor, residual_bound, rng, basis,
-                                   where[q], **kwargs)
+        w, X, res, width = _krylov(blocks[q], want, floor, rng, basis, where[q], **kwargs)
         # copied once the solve's LU and temporaries are freed, the pairs sit
         # low in the heap, and the heap above them can be handed back
         return w, X.copy(order="F"), res, width
@@ -626,7 +628,7 @@ def _krylov_pairs(blocks, m: int, floor: float, residual_bound: float, seed: int
     parts = [solve(q, min(want, S.shape[0])) for q, S in enumerate(blocks)]
     for q, S in enumerate(blocks):
         # an extension only lowers the cut, below which earlier sectors stay complete
-        cut = np.sort(np.concatenate([part[0] for part in parts]))[m - 1] - residual_bound
+        cut = np.sort(np.concatenate([part[0] for part in parts]))[m - 1] - _RESIDUAL_BOUND
         w, X, res, width = parts[q]
         count = _count_below(S, cut)
         while (have := np.count_nonzero(w < cut)) < count:
@@ -640,12 +642,12 @@ def _krylov_pairs(blocks, m: int, floor: float, residual_bound: float, seed: int
     return parts
 
 
-def _lowest_pairs(A: sp.csr_matrix, m: int, residual_bound: float, seed: int):
+def _lowest_pairs(A: sp.csr_matrix, m: int, seed: int):
     """m smallest eigenvalues of A and their residuals in the blocks solved:
     the real rotation sectors where A has them, else A itself."""
     bases = _rotation_sectors(A)
     blocks = [A] if bases is None else [(U.conj().T @ (A @ U)).real for U in bases]
-    parts = _krylov_pairs(blocks, m, _gershgorin_floor(A), residual_bound, seed)
+    parts = _krylov_pairs(blocks, m, _gershgorin_floor(A), seed)
     vals = np.concatenate([w for w, _ in parts])
     res = np.concatenate([res for _, res in parts])
     order = np.argsort(vals, kind="stable")[:m]
@@ -657,7 +659,6 @@ def lowest_eigenvalues(
     m: int,
     seed: int = 0,
     dense_cutoff: int = 3000,
-    residual_bound: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray]:
     """m smallest eigenvalues (ascending) of a Hermitian operator and their residuals.
 
@@ -680,9 +681,9 @@ def lowest_eigenvalues(
     the merged cut exceeds its values there is solved again with its pairs
     locked in.  The random columns are drawn from ``seed``.
 
-    Every residual must be ``<= residual_bound``.  Every result above the
-    dense cutoff is certified by Sylvester inertia of A: the number of its
-    eigenvalues below ``lambda_m - residual_bound`` must equal the number
+    Every residual must be ``<= 1e-8`` (``_RESIDUAL_BOUND``).  Every result
+    above the dense cutoff is certified by Sylvester inertia of A: the number
+    of its eigenvalues below ``lambda_m - 1e-8`` must equal the number
     of returned values below it.
 
     Raises ``ValueError`` unless 0 < m < dim, and ``EigensolverError`` when
@@ -697,15 +698,15 @@ def lowest_eigenvalues(
         vals, vecs = scipy.linalg.eigh(A.toarray(), subset_by_index=[0, m - 1])
         res = _residuals(A, vals, vecs)
     else:
-        vals, res = _lowest_pairs(A.tocsr(), m, residual_bound, seed)
-    bad = np.flatnonzero(~(res <= residual_bound))  # a NaN residual fails too
+        vals, res = _lowest_pairs(A.tocsr(), m, seed)
+    bad = np.flatnonzero(~(res <= _RESIDUAL_BOUND))  # a NaN residual fails too
     if bad.size:
         i = bad[0]
         raise EigensolverError(
-            f"eigenpair {i} residual {res[i]:.3e} exceeds {residual_bound:.1e}"
+            f"eigenpair {i} residual {res[i]:.3e} exceeds {_RESIDUAL_BOUND:.1e}"
         )
     if dim > dense_cutoff:
-        cut = vals[-1] - residual_bound
+        cut = vals[-1] - _RESIDUAL_BOUND
         below = _count_below(A, cut)
         returned = int(np.count_nonzero(vals < cut))
         if below != returned:
@@ -740,20 +741,13 @@ def cluster_eigenvalues(eigs, rel_gap: float = 0.10) -> list[np.ndarray]:
 _SPACING_TOL = 0.05
 
 
-def _ladder_fit_once(
-    eigs,
-    tau: float,
-    rel_gap: float,
-    min_population: int | None,
-    n_levels: int,
-) -> LadderFit:
+def _ladder_fit_once(eigs, tau: float, rel_gap: float, n_levels: int) -> LadderFit:
     clusters = cluster_eigenvalues(eigs, rel_gap=rel_gap)
     if not clusters:
         raise StructureMismatchError("no eigenvalues to cluster")
     pops = [len(c) for c in clusters]
-    if min_population is None:
-        biggest = max(pops)
-        min_population = 1 if biggest < 2 else max(2, math.ceil(0.05 * biggest))
+    biggest = max(pops)
+    min_population = 1 if biggest < 2 else max(2, math.ceil(0.05 * biggest))
     kept = [c for c in clusters if len(c) >= min_population]
     if len(kept) < n_levels:
         raise StructureMismatchError(
@@ -787,13 +781,12 @@ def landau_structure_fit(
     eigs,
     tau: float,
     rel_gap: float | None = None,
-    min_population: int | None = None,
     n_levels: int = 3,
 ) -> LadderFit:
     """Fit the lowest n_levels cluster centers to kappa0 * (2k+1) * |tau|.
 
     Small clusters (Dirichlet edge states living in the spectral gaps) are
-    dropped before the fit: default threshold max(2, 5% of the largest
+    dropped before the fit: the threshold is max(2, 5% of the largest
     population), disabled when every cluster is a singleton (synthetic input).
 
     With rel_gap=None the split threshold is chosen adaptively: a coarse 10%
@@ -806,11 +799,11 @@ def landau_structure_fit(
     threshold that produced the fit is recorded in ``rel_gap_used``.
     """
     if rel_gap is not None:
-        return _ladder_fit_once(eigs, tau, rel_gap, min_population, n_levels)
+        return _ladder_fit_once(eigs, tau, rel_gap, n_levels)
     last_err: StructureMismatchError | None = None
     for trial in (0.10, 0.03, 0.01):
         try:
-            return _ladder_fit_once(eigs, tau, trial, min_population, n_levels)
+            return _ladder_fit_once(eigs, tau, trial, n_levels)
         except StructureMismatchError as err:
             last_err = err
     raise StructureMismatchError(
@@ -997,12 +990,11 @@ def weyl_probe(
     j: int = 0,
     kappa0: float = 4.0,
     probe_lambda: float | None = None,
-    conv: FieldConvention = HN,
     tau0_start: float = 0.1,
 ) -> WeylProbeResult:
     """Approximate-eigenfunction residuals for lambda in the spectrum of L.
 
-    Builds u_m(z, t) = phi(z) e^{i mu tau_0 t} exp(-t^2 / (2 sigma_m^2)) with
+    Builds u_m(z, t) = phi(z) e^{i tau_0 t} exp(-t^2 / (2 sigma_m^2)) with
     sigma_m = width_m^2 (the squared width matches the anisotropic dilation:
     a vertical extent of gauge size m).  phi is the tabulated adjudicated
     eigenfunction refined by Rayleigh-quotient iteration on the assembled
@@ -1033,11 +1025,10 @@ def weyl_probe(
         )
     grid2d = BoxGrid(grid3d.lo[:2], grid3d.hi[:2], grid3d.counts[:2])
     K, A, C = fiber_parts(grid2d)
-    mu = 1.0 if conv.name == "hn" else -1.0
 
     def fiber_terms(tau0: float, jj: int, kk: int, lam_probe: float):
         """Refined phi's Rayleigh quotient and the sigma-free residual products."""
-        fiber = (K + (mu * tau0) * A + (tau0 * tau0) * C).tocsr()
+        fiber = (K + tau0 * A + (tau0 * tau0) * C).tocsr()
         start = tabulate_eigenfunction(jj, kk, tau0, grid2d).values.ravel()
         target = kappa0 * (2 * kk + 1) * tau0
         phi, ray = _refine_eigvec(fiber, start, target)
@@ -1047,7 +1038,7 @@ def weyl_probe(
                 "enlarge the horizontal extent"
             )
         v0 = fiber @ phi - lam_probe * phi
-        v1 = (mu * (A @ phi) + (2.0 * tau0) * (C @ phi))
+        v1 = A @ phi + (2.0 * tau0) * (C @ phi)
         v2 = C @ phi
         pairs = ((v0, v0), (v1, v1), (v0, v2), (v2, v2))
         dots = [float(np.real(np.vdot(x, y))) for x, y in pairs]
@@ -1089,9 +1080,10 @@ def weyl_probe(
 # ---------------------------------------------------------------------------
 
 
-def vertical_bridge_sign(transform: str = "inverse", conv: FieldConvention = HN) -> int:
+def vertical_bridge_sign(transform: str = "inverse") -> int:
     """Which angular sign makes (L u)-transformed(tau) = L_tau u-transformed(tau).
 
+    L is the sub-Laplacian on the HN frame.
     ``transform="inverse"`` uses the kernel e^{+i t tau} (the check-accent
     partner of the unitary forward transform), ``"forward"`` uses e^{-i t tau}.
     Adjudicated numerically on a bump with unit angular momentum, on a
@@ -1111,7 +1103,7 @@ def vertical_bridge_sign(transform: str = "inverse", conv: FieldConvention = HN)
     t = grid3.axis_mesh(2)
     phi = (x + 1j * y) * np.exp(-(x * x + y * y) / 2.0)
     u = ScalarField(grid3, phi * np.exp(-(t * t) / (2.0 * sigma_t * sigma_t)))
-    lu = sublaplacian(u, conv)
+    lu = sublaplacian(u)
 
     grid2 = BoxGrid((-half2d, -half2d), (half2d, half2d), (count2d, count2d))
     K, A, C = fiber_parts(grid2)

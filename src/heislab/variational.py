@@ -14,11 +14,13 @@ Design notes that matter for correctness:
 * The discretization lives only in the private class ``_Nodal``, which every
   function below goes through; a conforming (trilinear Q1) discretization
   replaces that class alone.
-* The discrete gradient is the *exact* gradient of the discrete energy: the
-  quasilinear term is assembled as -div_H(|D_H u|^{p-2} D_H u) with the
-  divergence stencil the exact negative adjoint of the gradient stencil
-  (zero-fill differences), so <gradient(u), v> equals the directional
-  derivative of energy at machine precision up to the O(eps^2) of the probe.
+* The discrete gradient is the *exact* gradient of the discrete energy at
+  every p > 1: the quasilinear term is assembled as
+  -div_H(|D_H u|^{p-2} D_H u) with the divergence stencil the exact negative
+  adjoint of the gradient stencil (zero-fill differences) and the flux 0
+  where D_H u = 0, its limit there, so <gradient(u), v> equals the
+  directional derivative of energy at machine precision up to the O(eps^2)
+  of the probe.
 * Every term is odd in u through sign(u)|u|^{q-1} factors and even through
   |u|-powers, so energy(-u) == energy(u) and gradient(-u) == -gradient(u)
   hold bitwise.
@@ -792,10 +794,19 @@ def ray_scan(
     }
 
 
-# ps_monitor's energy-tail window and Cauchy tolerance; a converged
-# mountain_pass_solve meets them by construction
 _PS_WINDOW = 10
 _PS_TOL = 1e-6
+
+
+def _cauchy_tail(energies) -> bool:
+    """Whether a log of three or more energies is Cauchy over its last
+    ``_PS_WINDOW``: their spread is at most ``_PS_TOL (1 + |last|)``.  Both
+    :func:`mountain_pass_solve`'s stop test and :func:`ps_monitor` ask this,
+    so a converged log passes the monitor."""
+    if len(energies) < 3:
+        return False
+    tail = np.asarray(energies[-_PS_WINDOW:], dtype=float)
+    return bool(np.max(tail) - np.min(tail) <= _PS_TOL * (1.0 + abs(float(tail[-1]))))
 
 
 @dataclass
@@ -861,13 +872,14 @@ def mountain_pass_solve(
     sign twice or more).  Then the least ray-peak level is the mountain-pass
     level (Szulkin and Weth, "The method of Nehari manifold", Handbook of
     Nonconvex Analysis, 2010), and at the constrained minimum the constraint
-    is natural: the full gradient vanishes.  Convergence needs the gradient norm down to
-    5e-5 of its value at the first iterate (a 2e4-fold reduction of
-    ``gradient_norms[0]``; stored as ``MPResult.tol``) and an energy tail
-    that is Cauchy under :func:`ps_monitor`'s default window and tolerance,
-    so a converged log passes the monitor.  ``threshold`` is stored for
-    reporting; compare against :func:`mp_threshold`.  When ``max_iter`` runs
-    out, the result is the last logged iterate.
+    is natural: the full gradient vanishes.  Convergence needs the gradient
+    norm down to 5e-5 of its value at the first iterate (a 2e4-fold
+    reduction of ``gradient_norms[0]``; stored as ``MPResult.tol``) and an
+    energy tail that is Cauchy under the test :func:`ps_monitor` applies
+    (``_cauchy_tail``), so a converged log passes the monitor.
+    ``threshold`` is stored for reporting; compare against
+    :func:`mp_threshold`.  When ``max_iter`` runs out, the result is the
+    last logged iterate.
 
     D_H is linear, so each iteration evaluates it once, on the direction g: a
     trial's D_H is D_H u - s D_H g, formed in one reused buffer, and the accepted
@@ -903,11 +915,9 @@ def mountain_pass_solve(
         energies.append(j)
         grad_norms.append(gn)
         norms.append(T ** (1.0 / problem.p))
-        if gn <= tol and it >= 3:
-            tail = energies[-_PS_WINDOW:]
-            if max(tail) - min(tail) <= _PS_TOL * (1.0 + abs(energies[-1])):
-                converged = True
-                break
+        if gn <= tol and _cauchy_tail(energies):
+            converged = True
+            break
         if it == max_iter:  # the logged iterate is the result
             break
         G_g = nod.grad(g)
@@ -1004,16 +1014,9 @@ def ps_monitor(result: MPResult, threshold: float | None = None) -> dict:
     solver tolerance, iterate norms bounded, and final energy strictly below
     the compactness threshold (when one is available).
     """
-    es = np.asarray(result.energies, dtype=float)
     gs = np.asarray(result.gradient_norms, dtype=float)
     ns = np.asarray(result.norms, dtype=float)
-    if es.size >= 3:
-        tail = es[-min(_PS_WINDOW, es.size):]
-        energies_converged = bool(
-            np.max(tail) - np.min(tail) <= _PS_TOL * (1.0 + abs(float(es[-1])))
-        )
-    else:
-        energies_converged = False
+    energies_converged = _cauchy_tail(result.energies)
     gradients_converged = bool(
         gs.size > 0 and result.tol > 0 and gs[-1] <= result.tol
     )

@@ -325,7 +325,9 @@ def _ref_p_sublaplacian(values, grid, conv, p):
     norm2 = np.zeros(grid.counts, dtype=float)
     for c in grad:
         norm2 += np.abs(c) ** 2
-    weight = (norm2 + 0.0) ** ((p - 2.0) / 2.0)
+    with np.errstate(divide="ignore"):
+        weight = (norm2 + 0.0) ** ((p - 2.0) / 2.0)
+    weight[norm2 == 0.0] = 0.0  # the flux's limit where the gradient vanishes
     return _ref_divergence([weight * c for c in grad], grid, conv)
 
 
@@ -388,7 +390,7 @@ def test_stencils_bitwise_equal_to_shifted_copy_reference(conv, grid, complex_):
     comps = [_random_values(rng, grid.counts, complex_) for _ in ref_grad]
     F = HorizontalVectorField(tuple(ScalarField(grid, c) for c in comps))
     assert np.array_equal(horizontal_divergence(F, conv).values, _ref_divergence(comps, grid, conv))
-    for p in (2.0, 3.0):
+    for p in (2.0, 3.0, 1.5):
         got = p_sublaplacian(u, p, conv=conv).values
         assert np.array_equal(got, _ref_p_sublaplacian(values, grid, conv, p))
     assert np.array_equal(sublaplacian(u, conv).values, _ref_sublaplacian(values, grid, conv))

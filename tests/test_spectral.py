@@ -440,7 +440,7 @@ def test_krylov_basis_grows_past_an_invariant_subspace(dtype):
         Q = np.linalg.qr(_random_block(complex, shape=(100, 100)))[0]
         S = sp.csr_matrix(Q @ S.toarray() @ Q.conj().T)
     w, X, _, width = spectral._krylov(
-        S, 70, 0.0, 1e-8, np.random.default_rng(0), spectral._Basis(dtype), "the operator"
+        S, 70, 0.0, np.random.default_rng(0), spectral._Basis(dtype), "the operator"
     )
     assert X.dtype == dtype
     assert width == 60  # the inertia count of the lowest cluster
@@ -654,9 +654,8 @@ def test_ladder_fit_single_level_and_population_override():
     assert fit.populations[0] == 3
     assert abs(fit.centers[0] - 2.0) <= 1e-12
     assert abs(fit.kappa0 - 4.0) <= 1e-12
-    fit2 = landau_structure_fit(
-        [1.0, 3.0, 5.0], 1.0, min_population=1, n_levels=3
-    )
+    # all singletons: the population rule keeps every cluster
+    fit2 = landau_structure_fit([1.0, 3.0, 5.0], 1.0, n_levels=3)
     assert fit2.populations == [1, 1, 1]
 
 

@@ -270,6 +270,42 @@ def test_gradient_matches_directional_derivative():
     assert 2.5 <= factor <= 6.5
 
 
+@pytest.mark.parametrize("p", [1.2, 1.5])
+def test_gradient_is_the_exact_derivative_below_p2(p):
+    # Below p = 2 the flux |G|^{p-2} G (G = D_H u) is taken as 0 where G = 0,
+    # its limit there.  Then <gradient(u), v> is the closed form
+    # M(T) (int |G|^{p-2} G . D_H v + int V sign(u)|u|^{p-1} v)
+    #   - lam int a sign(u)|u|^{r_g-1} v - int sign(u)|u|^{p*-1} v,
+    # with M(T) = 1 + T^0.2, built here from D_H alone.  u vanishes on the
+    # last five t-planes, so the interior nodes of the last three have G = 0
+    # exactly.
+    grid = BoxGrid((-4.0,) * 3, (4.0,) * 3, (13,) * 3)
+    prob = KirchhoffProblem(
+        n=1, p=p, lam=2.0, kirchhoff=KirchhoffM.nondegenerate(1.0, b=1.0, kappa=1.2),
+        nonlinearity=GrowthNonlinearity(1.8, 1.8), grid=grid,
+    )
+    vals = random_dirichlet_field(grid, seed=3, bumps=2).values.copy()
+    vals[:, :, 8:] = 0.0
+    u, v = ScalarField(grid, vals), random_dirichlet_field(grid, seed=4, bumps=2)
+    G = [c.values for c in horizontal_gradient(u).components]
+    DV = [c.values for c in horizontal_gradient(v).components]
+    norm2 = sum(c * c for c in G)
+    assert np.count_nonzero(norm2[1:-1, 1:-1, 1:-1] == 0.0) > 0
+    weight = np.zeros_like(norm2)
+    weight[norm2 > 0] = norm2[norm2 > 0] ** ((p - 2.0) / 2.0)
+    w = grid.cell_volume
+    T = (np.sum(norm2 ** (p / 2.0)) + np.sum(np.abs(vals) ** p)) * w
+    flux = sum(np.sum(weight * g * dv) for g, dv in zip(G, DV)) * w
+
+    def paired(q):  # int sign(u)|u|^{q-1} v
+        return np.sum(np.sign(vals) * np.abs(vals) ** (q - 1.0) * v.values) * w
+
+    exact = (1.0 + T**0.2) * (flux + paired(p)) - 2.0 * paired(1.8) - paired(prob.p_star)
+    g = gradient(u, prob).values
+    assert np.all(np.isfinite(g))
+    assert abs(np.sum(g * v.values) * w - exact) <= 1e-12 * abs(exact)
+
+
 def test_energy_and_gradient_odd_symmetry_bitwise():
     prob = desk_problem()
     for seed in range(5):

@@ -16,6 +16,7 @@ Serialization uses NumPy ``.npz`` containers with a small documented key set
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -67,8 +68,10 @@ class BoxGrid:
     def ndim(self) -> int:
         return len(self.counts)
 
-    @property
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
+        """Node spacing per axis, computed on first use; not a field, so it
+        takes no part in equality and hashing."""
         return tuple(
             (h - l) / (c - 1) for l, h, c in zip(self.lo, self.hi, self.counts)
         )

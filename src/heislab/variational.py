@@ -21,9 +21,9 @@ Design notes that matter for correctness:
   where D_H u = 0, its limit there, so <gradient(u), v> equals the
   directional derivative of energy at machine precision up to the O(eps^2)
   of the probe.
-* Every term is odd in u through sign(u)|u|^{q-1} factors and even through
-  |u|-powers, so energy(-u) == energy(u) and gradient(-u) == -gradient(u)
-  hold bitwise.
+* Every term is odd in u through u times an even factor (or sign(u)|u|^{q-1})
+  and even through |u|-powers or products u u, so energy(-u) == energy(u)
+  and gradient(-u) == -gradient(u) hold bitwise.
 * Fields must vanish identically on the boundary ring (Dirichlet truncation);
   helpers below build such fields.
 * The derivative implemented is the Gateaux derivative of the energy itself,
@@ -163,6 +163,12 @@ class GrowthNonlinearity:
     the grid coordinate meshes.  theta <= r_g is enforced: for the power
     nonlinearity the superlinearity inequality theta * F <= f * t (t > 0)
     holds exactly when theta <= r_g.
+
+    ``big_f`` (a |t|^{r_g} / r_g) is built from |t| and ``f`` from t times
+    a |t|^{r_g - 2}, so they are bitwise even and odd; below r_g = 2, where
+    that factor is infinite at t = 0, ``f`` takes sign(t) a |t|^{r_g - 1}.
+    The powers follow :func:`_abs_power`: at r_g = 3.5, |t|^3 sqrt|t| and
+    t |t| sqrt|t|, with no ``pow`` pass.
     """
 
     r_g: float
@@ -184,10 +190,12 @@ class GrowthNonlinearity:
         return _profile_values(self.weight, grid, "weight", minimum=0.0)
 
     def f(self, a, uvals: np.ndarray) -> np.ndarray:
-        return a * np.sign(uvals) * np.abs(uvals) ** (self.r_g - 1.0)
+        if self.r_g < 2.0:  # u |u|^{r_g - 2} would be 0 * inf at u = 0
+            return a * np.sign(uvals) * _abs_power(np.abs(uvals), self.r_g - 1.0)
+        return a * (uvals * _abs_power(np.abs(uvals), self.r_g - 2.0))
 
     def big_f(self, a, uvals: np.ndarray) -> np.ndarray:
-        return a * np.abs(uvals) ** self.r_g / self.r_g
+        return a * _abs_power(np.abs(uvals), self.r_g) / self.r_g
 
     def to_dict(self) -> dict:
         return {
@@ -195,6 +203,32 @@ class GrowthNonlinearity:
             "theta": self.theta,
             "weight": "callable" if callable(self.weight) else float(self.weight),
         }
+
+
+def _abs_power(mag: np.ndarray, r: float) -> np.ndarray:
+    """mag ** r for mag >= 0; may overwrite and return ``mag``.
+
+    When 2r is a positive integer the power is formed from products and at
+    most one square root (|u|^{3.5} = |u|^3 sqrt|u|), by binary powering:
+    each pass costs a fraction of a ``pow`` pass, and each product adds about
+    half an ulp of rounding.  Every other r takes the ``pow``.
+    """
+    twice = 2.0 * r
+    if not (twice >= 1.0 and float(twice).is_integer()):
+        mag **= r
+        return mag
+    k, odd = divmod(int(twice), 2)
+    acc = mag
+    for bit in bin(k)[3:]:  # mag^k, squaring from the leading bit
+        acc = acc * acc
+        if bit == "1":
+            acc *= mag
+    if odd:
+        root = np.sqrt(mag)
+        if k == 0:
+            return root
+        acc *= root
+    return acc
 
 
 def _profile_values(spec, grid: BoxGrid, name: str, minimum: float | None = None):
@@ -380,9 +414,11 @@ class _Nodal:
     """One problem's discretization: nodal values, the central-difference D_H
     (looked up by name on each call), the p-flux divergence whose negative
     is its exact adjoint, the boundary ring, and integrals as nodal sums
-    times the cell volume ``w`` (so w * dot(a, b) is the L^2 pairing).  At
-    p = 2 and p* = 4 integrands are products, not ``pow`` passes, which cost
-    several times more.  ``q`` is p*; ``V`` and ``a`` are the potential and
+    times the cell volume ``w`` (so w * dot(a, b) is the L^2 pairing).
+    Products replace ``pow`` passes, which cost several times more: at p = 2
+    the integrands |D_H u|^2 and V u u are products and sign(u)|u| is u
+    itself, at p* = 4 |u|^4 is (u u)^2, and the growth powers follow
+    :func:`_abs_power`.  ``q`` is p*; ``V`` and ``a`` are the potential and
     the nonlinearity's weight on the grid.  D_H and the divergence take work
     buffers, with the same results as on fresh arrays.
     """
@@ -422,7 +458,13 @@ class _Nodal:
 
     def hw(self, vals: np.ndarray, grad) -> float:
         """T(u) = int |D_H u|^p + int V |u|^p, from u and G = D_H u."""
-        return self.dirichlet(grad) + float(np.sum(self.V * np.abs(vals) ** self.p) * self.w)
+        if self.p != 2:
+            vv = float(np.sum(self.V * np.abs(vals) ** self.p))
+        elif np.ndim(self.V) == 0:
+            vv = self.V * self.dot(vals, vals)
+        else:
+            vv = self.dot(self.V * vals, vals)
+        return self.dirichlet(grad) + vv * self.w
 
     def power(self, vals: np.ndarray, q: float, out: np.ndarray | None = None) -> float:
         """int |u|^q; the integrand is formed in ``out``, which may be ``vals``."""
@@ -434,7 +476,10 @@ class _Nodal:
         return float(np.sum(mag) * self.w)
 
     def odd_power(self, vals: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarray:
-        """sign(u) |u|^{q-1}, the derivative of |u|^q / q, formed in ``out``."""
+        """sign(u) |u|^{q-1}, the derivative of |u|^q / q, formed in ``out``
+        (at q = 2 without ``out`` it is u itself, not a copy)."""
+        if q == 2.0 and out is None:
+            return vals
         if q == 4.0:
             out = np.multiply(vals, vals, out=out)
             out *= vals
@@ -463,6 +508,7 @@ def hw_norm(u: ScalarField, problem: KirchhoffProblem) -> float:
 # Newton steps on phi' per ray peak, at most; bisection alone needs about 53
 # to shrink [1/2, 2] to an ulp.
 _NEWTON_STEPS = 64
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -483,12 +529,18 @@ class _RayProfile:
         pr, K = self.problem, self.problem.kirchhoff
         r = pr.nonlinearity.r_g
         m0, c1 = (K.m0, K.b) if K.kind == "nondegenerate" else (0.0, K.m1)
-        object.__setattr__(self, "_terms", (
+        terms = (
             (m0 * self.T, pr.p - 1.0),
             (c1 * self.T ** K.kappa, pr.p * K.kappa - 1.0),
             (-pr.lam * r * self.F, r - 1.0),
             (-self.C, pr.p_star - 1.0),
-        ))
+        )
+        # the sign changes of the coefficients ordered by exponent, zeros
+        # skipped; slope and curvature sum their terms in the order above
+        signs = [c > 0.0 for c, _ in sorted(terms, key=lambda term: term[1]) if c != 0.0]
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_bends", tuple((c * e, e - 1.0) for c, e in terms))
+        object.__setattr__(self, "_changes", sum(a != b for a, b in zip(signs, signs[1:])))
 
     @classmethod
     def of(cls, vals: np.ndarray, problem: KirchhoffProblem, nodal: _Nodal) -> "_RayProfile":
@@ -500,11 +552,16 @@ class _RayProfile:
         term_m = pr.kirchhoff.primitive(t ** pr.p * self.T) / pr.p
         return term_m - pr.lam * self.F * t ** r - self.C * t ** ps / ps
 
+    @staticmethod
+    def _sum(terms, t: float) -> float:  # sum(c * t ** e for c, e in terms), unrolled
+        (a, ea), (b, eb), (c, ec), (d, ed) = terms
+        return a * t ** ea + b * t ** eb + c * t ** ec + d * t ** ed
+
     def slope(self, t: float) -> float:
-        return sum(c * t ** e for c, e in self._terms)
+        return self._sum(self._terms, t)
 
     def _curvature(self, t: float) -> float:
-        return sum(c * e * t ** (e - 1.0) for c, e in self._terms)
+        return self._sum(self._bends, t)
 
     def peak(self) -> tuple[float, float]:
         """(t*, phi(t*)) at the maximum of phi over t > 0.
@@ -522,10 +579,9 @@ class _RayProfile:
         leaves the sign-checked bracket, or fails to halve the previous one,
         bisects the bracket instead.
         """
-        terms = sorted(self._terms, key=lambda term: term[1])
-        signs = [c > 0.0 for c, _ in terms if c != 0.0]
-        changes = sum(a != b for a, b in zip(signs, signs[1:]))
+        changes = self._changes
         if changes > 1:
+            terms = sorted(self._terms, key=lambda term: term[1])
             raise RuntimeError(
                 f"phi'(t) = {' '.join(f'{c:+.6g} t^{e:.6g}' for c, e in terms)} has "
                 f"{changes} coefficient sign changes: outside the growth window "
@@ -540,7 +596,6 @@ class _RayProfile:
         if not (changes and 0.0 < lo and hi < math.inf):
             raise RuntimeError(f"no interior ray peak (T = {self.T:.6g}, F = {self.F:.6g}, "
                                f"C = {self.C:.6g})")
-        eps = np.finfo(float).eps
         t, last = math.sqrt(lo * hi), hi - lo
         for _ in range(_NEWTON_STEPS):
             d = self.slope(t)
@@ -553,10 +608,10 @@ class _RayProfile:
             step = d / self._curvature(t)
             # a step below the resolution of t has converged; it may
             # round onto the bracket's end
-            if abs(step) > 2.0 * eps * t and not (lo < t - step < hi and abs(2.0 * step) <= last):
+            if abs(step) > 2.0 * _EPS * t and not (lo < t - step < hi and abs(2.0 * step) <= last):
                 step = t - 0.5 * (lo + hi)
             t, last = t - step, abs(step)
-            if last <= 2.0 * eps * t:
+            if last <= 2.0 * _EPS * t:
                 break
         return t, self.value(t)
 
@@ -567,9 +622,11 @@ def energy(u: ScalarField, problem: KirchhoffProblem) -> float:
     return _RayProfile.of(u.values, problem, _Nodal.of(problem)).value(1.0)
 
 
-def _gradient(problem: KirchhoffProblem, nod: _Nodal, vals: np.ndarray, grad):
-    """(the gradient's nodal values at u, ring zeroed; T(u)) from u and G = D_H u."""
-    T = nod.hw(vals, grad)
+def _gradient(problem: KirchhoffProblem, nod: _Nodal, vals: np.ndarray, grad, T=None):
+    """(the gradient's nodal values at u, ring zeroed; T(u)) from u, G = D_H u
+    and T(u) when it is in hand."""
+    if T is None:
+        T = nod.hw(vals, grad)
     core = (
         problem.kirchhoff.m(T) * (nod.V * nod.odd_power(vals, problem.p) - nod.divergence(grad))
         - problem.lam * problem.nonlinearity.f(nod.a, vals)
@@ -883,7 +940,12 @@ def mountain_pass_solve(
 
     D_H is linear, so each iteration evaluates it once, on the direction g: a
     trial's D_H is D_H u - s D_H g, formed in one reused buffer, and the accepted
-    t (u - s g) carries t times its trial's.  D_H u is evaluated on u_1 only.
+    t (u - s g) carries t times its trial's.  T is p-homogeneous, so the
+    accepted iterate's T(t w) is t^p T(w), with T(w) from its trial's ray, and
+    the gradient takes it from there.  D_H u and T are evaluated afresh on
+    u_1 only.  A trial is valid when its ray quadratures are finite and C =
+    int |w|^{p*} > 0 (w != 0); any other trial halves the step without a
+    ray-peak search, and no extra pass over the trial tests it.
 
     ``nodes`` is ignored.  It set the size of a discrete path in an earlier
     two-phase solver, and the benchmark's ``mountain-pass`` workload
@@ -905,10 +967,10 @@ def mountain_pass_solve(
     trial = np.empty_like(u)  # the trial and its D_H, formed in place for every trial
     G_trial = HorizontalVectorField(tuple(ScalarField(grid, np.empty_like(u)) for _ in G.components))
     energies, grad_norms, norms = [], [], []
-    step = 1.0
+    step, T = 1.0, None
     converged = stagnated = False
     for it in range(1, max_iter + 1):
-        g, T = _gradient(problem, nod, u, G)
+        g, T = _gradient(problem, nod, u, G, T)
         gn = nod.l2(g)
         if it == 1:
             tol = 5e-5 * gn
@@ -925,12 +987,12 @@ def mountain_pass_solve(
         for _ in range(60):
             np.multiply(g, -s, out=trial)
             trial += u
-            nt = nod.l2(trial)
-            if nt > 0 and math.isfinite(nt):
-                for ct, cu, cg in zip(G_trial.components, G.components, G_g.components):
-                    np.multiply(cg.values, -s, out=ct.values)
-                    np.add(ct.values, cu.values, out=ct.values)
-                t, jt = _RayProfile(problem, *nod.ray(trial, problem.nonlinearity, G_trial)).peak()
+            for ct, cu, cg in zip(G_trial.components, G.components, G_g.components):
+                np.multiply(cg.values, -s, out=ct.values)
+                np.add(ct.values, cu.values, out=ct.values)
+            Tt, F, C = nod.ray(trial, problem.nonlinearity, G_trial)
+            if C > 0.0 and all(map(math.isfinite, (Tt, F, C))):  # else 0 or overflowing
+                t, jt = _RayProfile(problem, Tt, F, C).peak()
                 if math.isfinite(jt) and jt < j - 1e-14 * (1.0 + abs(j)):
                     break
             s *= 0.5
@@ -940,7 +1002,7 @@ def mountain_pass_solve(
         np.multiply(trial, t, out=u)
         for cu, ct in zip(G.components, G_trial.components):
             np.multiply(ct.values, t, out=cu.values)
-        j, step = jt, min(s * 2.0, 1e3)
+        j, step, T = jt, min(s * 2.0, 1e3), t ** problem.p * Tt
     u_star = ScalarField(grid, u)
     flags = {
         "converged": converged,

@@ -5,6 +5,7 @@ container key set, and hand-built dataclass instances whose dictionary
 forms are spelled out inline.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -32,6 +33,22 @@ def test_real_field_round_trip_bitwise(tmp_path):
     assert back.grid == grid
     assert back.values.dtype == np.float64
     assert np.array_equal(back.values, fld.values)
+
+
+def test_grid_spacing_is_cached_read_only_and_not_compared(tmp_path):
+    # a grid whose spacing was read equals and hashes like a fresh one, so
+    # caches keyed by grids (the stencils' coefficient meshes) keep hitting
+    grid = _grid3()
+    assert grid.spacing == (1.0, 1.0, 2.0)
+    assert grid.spacing is grid.spacing
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.spacing = (2.0, 2.0, 2.0)
+    assert "spacing" not in {f.name for f in dataclasses.fields(BoxGrid)}
+    path = tmp_path / "field.npz"
+    save_field(ScalarField(grid, np.zeros(grid.counts)), path)
+    back = load_field(path).grid
+    assert back == grid and hash(back) == hash(grid)
+    assert back.spacing == grid.spacing
 
 
 def test_complex_field_round_trip_bitwise(tmp_path):

@@ -115,6 +115,40 @@ def test_growth_nonlinearity_values_and_validation():
         GrowthNonlinearity(3.5, 3.5, weight=-1.0)
 
 
+def _power_probe():
+    """Exact zeros and magnitudes from 1e-150 to 1e30, of both signs."""
+    rng = np.random.default_rng(7)
+    mags = 10.0 ** rng.uniform(-150.0, 30.0, 4000)
+    vals = np.concatenate([mags, -mags, [1e-150, 1e30, 1.0, 0.0, -0.0, 0.0]])
+    vals[::97] = 0.0
+    return vals
+
+
+@pytest.mark.parametrize("r", [1.5, 2.5, 3.5, 4.0])
+def test_growth_power_by_products_is_within_four_ulp_of_pow(r):
+    vals = _power_probe()
+    ref = np.abs(vals) ** r
+    got = variational._abs_power(np.abs(vals), r)
+    assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(ref))
+    assert np.all(got[vals == 0.0] == 0.0)
+
+
+def test_growth_power_off_the_half_integers_is_pow():
+    vals = _power_probe()
+    assert np.array_equal(variational._abs_power(np.abs(vals), 3.3), np.abs(vals) ** 3.3)
+
+
+@pytest.mark.parametrize("r_g", [1.2, 1.5, 1.8, 2.0, 2.5, 3.3, 3.5, 4.0])
+def test_growth_terms_are_bitwise_even_and_odd(r_g):
+    vals = _power_probe()
+    g = GrowthNonlinearity(r_g, r_g)
+    a = np.linspace(0.5, 2.0, vals.size)
+    for weight in (1.0, a):
+        assert np.array_equal(g.big_f(weight, -vals), g.big_f(weight, vals))
+        assert np.array_equal(g.f(weight, -vals), -g.f(weight, vals))
+    assert np.all(g.f(1.0, np.zeros(3)) == 0.0)  # no 0 * inf below r_g = 2
+
+
 def test_problem_windows_and_pstar():
     prob = desk_problem()
     assert prob.Q == 4
@@ -313,6 +347,75 @@ def test_energy_and_gradient_odd_symmetry_bitwise():
         neg = ScalarField(prob.grid, -u.values)
         assert energy(neg, prob) == energy(u, prob)
         assert np.array_equal(gradient(neg, prob).values, -gradient(u, prob).values)
+
+
+def test_p2_integrands_are_products_and_bitwise_even():
+    grid = BoxGrid((-4.0,) * 3, (4.0,) * 3, (11,) * 3)
+    u = random_dirichlet_field(grid, seed=6, bumps=2, rough=0.01).values
+    V = 1.0 + 0.1 * grid.meshes()[0] ** 2 + 0.0 * u
+    for potential in (1.5, V):
+        nod = _Nodal(grid, 2.0, V=potential)
+        assert nod.odd_power(u, 2.0) is u
+        G = nod.grad(u)
+        neg = HorizontalVectorField(tuple(ScalarField(grid, -c.values) for c in G.components))
+        T = nod.hw(u, G)
+        assert nod.hw(-u, neg) == T
+        ref = (sum(np.sum(c.values**2) for c in G.components) + np.sum(potential * u**2)) * grid.cell_volume
+        assert T == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_mountain_pass_carries_t_from_the_second_iteration(monkeypatch):
+    # T(t w) = t^p T(w): every iterate after the first takes T from its
+    # trial's ray, the first evaluates it afresh
+    prob, e = _criterion_11_endpoint()
+    nod, real, handed = _Nodal.of(prob), variational._gradient, []
+
+    def spy(problem, nodal, vals, grad, T=None):
+        handed.append(T)
+        if T is not None:
+            assert T == pytest.approx(nod.hw(vals, nod.grad(vals)), rel=1e-12, abs=0.0)
+        return real(problem, nodal, vals, grad, T)
+
+    monkeypatch.setattr(variational, "_gradient", spy)
+    mp = mountain_pass_solve(prob, e, max_iter=40)
+    assert len(handed) == mp.iterations == 40
+    assert handed[0] is None
+    assert all(T is not None for T in handed[1:])
+
+
+def test_mountain_pass_skips_a_trial_whose_quadratures_overflow(monkeypatch):
+    # a first direction of size 1e80 overflows int |trial|^4 for every step
+    # down to about 2^-10; the line search halves past those trials without
+    # building their ray profiles, and ends stagnated after 60 halvings
+    prob = desk_problem()
+    v0 = random_dirichlet_field(prob.grid, seed=1, bumps=2)
+    v0 = ScalarField(prob.grid, v0.values / hw_norm(v0, prob))
+    e = ScalarField(prob.grid, ray_scan(v0, prob, t_max=60.0, steps=400)["t_negative"] * v0.values)
+    real_gradient, real_ray, real_peak = variational._gradient, _Nodal.ray, _RayProfile.peak
+    quadratures, peaked = [], []
+
+    def huge(*args):
+        g, T = real_gradient(*args)
+        return 1e80 * g, T
+
+    def ray(self, *args):
+        quadratures.append(real_ray(self, *args))
+        return quadratures[-1]
+
+    def peak(self):
+        peaked.append((self.T, self.F, self.C))
+        return real_peak(self)
+
+    monkeypatch.setattr(variational, "_gradient", huge)
+    monkeypatch.setattr(_Nodal, "ray", ray)
+    monkeypatch.setattr(_RayProfile, "peak", peak)
+    mp = mountain_pass_solve(prob, e, max_iter=3)
+    assert mp.stagnated and mp.iterations == 1
+    assert len(quadratures) == 61  # e's ray, then 60 trials
+    overflowed = [q for q in quadratures if not all(map(math.isfinite, q))]
+    assert len(overflowed) >= 5
+    assert all(all(map(math.isfinite, q)) for q in peaked)
+    assert len(peaked) == len(quadratures) - len(overflowed)
 
 
 def test_gradient_vanishes_on_ring():
@@ -787,6 +890,10 @@ def test_ray_profile_coefficients_change_sign_once(case):
         signs = [np.sign(c) for c, _ in sorted(ray._terms, key=lambda term: term[1]) if c != 0.0]
         assert signs[0] == 1.0 and signs[-1] == -1.0
         assert np.count_nonzero(np.diff(signs)) == 1
+        # the Newton steps' slope and curvature keep the terms' summation order
+        for t in (0.03, 0.7, 1.0, 4.2):
+            assert ray.slope(t) == sum(c * t**e for c, e in ray._terms)
+            assert ray._curvature(t) == sum(c * e * t ** (e - 1.0) for c, e in ray._terms)
 
 
 def _slope_sign_changes(prob, w):

@@ -3,12 +3,12 @@
 The package is organised around five layers:
 
 * ``geometry``     -- closed-form group operations, Koranyi gauge, dilations;
-* ``grid``         -- box grids, scalar/horizontal-vector fields, serialization;
+* ``grid``         -- box grids, scalar/horizontal-vector fields;
 * ``operators``    -- finite-difference left-invariant vector fields, sub-Laplacians,
                       twisted Laplacians, p-sub-Laplacians (plus an exact polynomial mode);
-* ``hermite``      -- Hermite functions (``hermite_poly``, ``hermite_fn``,
-                      ``hermite_fn_scaled``) and the tabulated Fourier-Wigner
-                      transform (``fourier_wigner_table``);
+* ``hermite``      -- Hermite functions (``hermite_fn``, ``hermite_fn_scaled``)
+                      and the tabulated Fourier-Wigner transform
+                      (``fourier_wigner_table``);
 * ``spectral``     -- assembled twisted operators, Landau-ladder fits, the special
                       Hermite family e_{j,k,tau} (tabulated by
                       ``tabulate_eigenfunction``), eigenfunction residuals,
@@ -21,16 +21,14 @@ The package is organised around five layers:
 """
 
 from .geometry import (
-    GroupParams,
     HeisPoint,
     dilate,
     group_inv,
     group_mul,
-    in_ball,
     koranyi_dist,
     koranyi_norm,
 )
-from .grid import BoxGrid, HorizontalVectorField, ScalarField, load_field, save_field
+from .grid import BoxGrid, HorizontalVectorField, ScalarField
 from .operators import (
     H3,
     HN,
@@ -38,8 +36,6 @@ from .operators import (
     apply_T,
     apply_X,
     apply_Y,
-    apply_Z,
-    apply_Zbar,
     commutator_check,
     horizontal_divergence,
     horizontal_gradient,
@@ -51,12 +47,7 @@ from .operators import (
     twisted_laplacian,
 )
 from .polyfield import PolyField
-from .hermite import (
-    hermite_fn,
-    hermite_fn_scaled,
-    hermite_poly,
-    hermite_poly_rodrigues,
-)
+from .hermite import hermite_fn, hermite_fn_scaled
 from .spectral import (
     ConventionChoice,
     GramResult,
@@ -91,7 +82,6 @@ from .variational import (
     random_dirichlet_field,
     ray_scan,
     validate_exponents,
-    zero_boundary,
 )
 
 __version__ = "0.1.0"

@@ -29,35 +29,13 @@ import numpy as np
 from .exceptions import DimensionMismatchError
 
 __all__ = [
-    "GroupParams",
     "HeisPoint",
     "group_mul",
     "group_inv",
     "koranyi_norm",
     "koranyi_dist",
     "dilate",
-    "in_ball",
 ]
-
-
-@dataclass(frozen=True)
-class GroupParams:
-    """Ambient group data: the integer n >= 1 of H_n."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-
-    @property
-    def homogeneous_dimension(self) -> int:
-        """Q = 2n + 2 (the dilation weight of Lebesgue measure)."""
-        return 2 * self.n + 2
-
-    @property
-    def topological_dimension(self) -> int:
-        return 2 * self.n + 1
 
 
 @dataclass(frozen=True)
@@ -162,10 +140,3 @@ def dilate(s: float, a: HeisPoint) -> HeisPoint:
         raise ValueError(f"dilation parameter must be a positive scalar, got {s!r}")
     s = float(s)
     return HeisPoint(s * a.x, s * a.y, (s * s) * a.t)
-
-
-def in_ball(center: HeisPoint, radius: float, a: HeisPoint) -> np.ndarray:
-    """Membership in the open gauge ball B_radius(center)."""
-    if not radius > 0:
-        raise ValueError(f"ball radius must be positive, got {radius!r}")
-    return koranyi_dist(center, a) < radius

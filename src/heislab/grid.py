@@ -8,16 +8,12 @@ Fields carry one complex or real value per node.  Derivative stencils treat
 values outside the box as zero (Dirichlet ghost nodes), so fields are expected
 to decay near the boundary; the variational layer enforces exact boundary
 support.
-
-Serialization uses NumPy ``.npz`` containers with a small documented key set
-(see :func:`save_field`); the format is stable and versioned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -27,11 +23,7 @@ __all__ = [
     "BoxGrid",
     "ScalarField",
     "HorizontalVectorField",
-    "save_field",
-    "load_field",
 ]
-
-_FIELD_FORMAT = "heislab-field-v1"
 
 
 @dataclass(frozen=True)
@@ -180,32 +172,3 @@ class HorizontalVectorField:
     def grid(self) -> BoxGrid:
         return self.components[0].grid
 
-
-# -- serialization ---------------------------------------------------------
-
-
-def save_field(fld: ScalarField, path) -> None:
-    """Write a field to ``path`` as a .npz container.
-
-    Keys: ``format`` (bytes tag), ``lo``, ``hi``, ``counts`` (grid metadata)
-    and ``values`` (row-major node values, dtype preserved).
-    """
-    path = Path(path)
-    np.savez(
-        path,
-        format=np.bytes_(_FIELD_FORMAT),
-        lo=np.asarray(fld.grid.lo, dtype=float),
-        hi=np.asarray(fld.grid.hi, dtype=float),
-        counts=np.asarray(fld.grid.counts, dtype=np.int64),
-        values=np.ascontiguousarray(fld.values),
-    )
-
-
-def load_field(path) -> ScalarField:
-    """Inverse of :func:`save_field`; exact round-trip including dtype."""
-    with np.load(Path(path)) as data:
-        tag = bytes(data["format"]).decode()
-        if tag != _FIELD_FORMAT:
-            raise ValueError(f"unknown field container format {tag!r}")
-        grid = BoxGrid(tuple(data["lo"]), tuple(data["hi"]), tuple(int(c) for c in data["counts"]))
-        return ScalarField(grid, data["values"])

@@ -2,12 +2,9 @@
 
 Conventions implemented here (all of them load-bearing for the spectral lab):
 
-* physicists' Hermite polynomials ``H_k``, via the stable three-term recurrence
-  ``H_{k+1} = 2 x H_k - 2 k H_{k-1}``; the Rodrigues form
-  ``H_k = (-1)^k e^{x^2} (d/dx)^k e^{-x^2}`` is kept as an exact-coefficient
-  oracle for small k (it is factorially ill-conditioned as an evaluation route);
-* L^2-normalized Hermite functions ``e_k(x) = (2^k k! sqrt(pi))^{-1/2} e^{-x^2/2} H_k(x)``
-  via the normalized recurrence, and their tau-scalings
+* L^2-normalized Hermite functions ``e_k(x) = (2^k k! sqrt(pi))^{-1/2} e^{-x^2/2} H_k(x)``,
+  with ``H_k`` the physicists' Hermite polynomials, via the normalized
+  three-term recurrence, and their tau-scalings
   ``e_{k,tau}(x) = |tau|^{1/4} e_k(sqrt|tau| x)``;
 * Fourier-Wigner transform
 
@@ -33,8 +30,6 @@ import numpy as np
 from .exceptions import QuadratureTailError
 
 __all__ = [
-    "hermite_poly",
-    "hermite_poly_rodrigues",
     "hermite_fn",
     "hermite_fn_scaled",
     "fourier_wigner_table",
@@ -44,49 +39,8 @@ _TAIL_GUARD = 1e-14
 
 
 # ---------------------------------------------------------------------------
-# Hermite polynomials and functions
+# Hermite functions
 # ---------------------------------------------------------------------------
-
-
-def hermite_poly(k: int, x) -> np.ndarray | float:
-    """Physicists' Hermite polynomial H_k(x) by the three-term recurrence."""
-    if k < 0:
-        raise ValueError("Hermite index must be nonnegative")
-    xv = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(xv)
-    if k == 0:
-        return h_prev if xv.ndim else float(h_prev)
-    h = 2.0 * xv
-    for m in range(1, k):
-        h, h_prev = 2.0 * xv * h - 2.0 * m * h_prev, h
-    return h if xv.ndim else float(h)
-
-
-def _rodrigues_coeffs(k: int) -> np.ndarray:
-    """Coefficients (ascending powers) of H_k from the Rodrigues formula.
-
-    (d/dx)^k e^{-x^2} = p_k(x) e^{-x^2} with p_{m+1} = p_m' - 2x p_m, and
-    H_k = (-1)^k p_k.  Exact integer arithmetic throughout.
-    """
-    p = np.array([1], dtype=object)
-    for _ in range(k):
-        dp = np.array([p[i] * i for i in range(1, len(p))] or [0], dtype=object)
-        shifted = np.zeros(len(p) + 1, dtype=object)
-        shifted[1:] = -2 * p
-        nxt = shifted.copy()
-        nxt[: len(dp)] += dp
-        p = nxt
-    return (-1) ** k * p
-
-
-def hermite_poly_rodrigues(k: int, x) -> np.ndarray | float:
-    """H_k(x) evaluated from exact Rodrigues-formula coefficients (small-k oracle)."""
-    if k < 0:
-        raise ValueError("Hermite index must be nonnegative")
-    coeffs = _rodrigues_coeffs(k).astype(float)
-    xv = np.asarray(x, dtype=float)
-    out = np.polynomial.polynomial.polyval(xv, coeffs)
-    return out if xv.ndim else float(out)
 
 
 def hermite_fn(k: int, x) -> np.ndarray | float:

@@ -11,15 +11,8 @@ are kept behind :class:`FieldConvention`:
 
       X_j = d/dx_j + 2 y_j d/dt,   Y_j = d/dy_j - 2 x_j d/dt,   [X_j, Y_k] = -4 delta_jk d/dt
 
-The sub-Laplacian comes in the positive-operator sign ``L = -sum(X_j^2 + Y_j^2)``
-(default) and the geometer sign ``Delta_H = +sum(X_j^2 + Y_j^2) = div_H D_H``.
-Complex fields on the H3 frame::
-
-      Z = d/dz - 2 i conj(z) d/dtau,   Zbar = d/dzbar + 2 i z d/dtau,
-
-where ``d/dz = d/dy_1 - i d/dy_2`` and ``d/dzbar = d/dy_1 + i d/dy_2`` carry no
-1/2 factor (so ``d/dz z = 2``); with these, ``L = -(Z Zbar + Zbar Z)/2`` holds
-exactly, even at the stencil level.
+The sub-Laplacian carries the positive-operator sign ``L = -sum(X_j^2 + Y_j^2)``,
+so ``-L = div_H D_H``.
 
 Discretization: central second-order differences on a :class:`~heislab.grid.BoxGrid`
 with zero (Dirichlet) ghost values.  Every operator also accepts a
@@ -53,8 +46,6 @@ __all__ = [
     "apply_X",
     "apply_Y",
     "apply_T",
-    "apply_Z",
-    "apply_Zbar",
     "commutator_check",
     "horizontal_gradient",
     "horizontal_divergence",
@@ -288,34 +279,26 @@ def horizontal_divergence(F, conv: FieldConvention = HN, out=None, scratch=None)
     return acc if poly else ScalarField(F.grid, acc)
 
 
-def sublaplacian(u, conv: FieldConvention = HN, sign: str = "positive"):
-    """Sub-Laplacian by composing the first-order stencils.
-
-    ``sign="positive"`` gives L = -sum(X_j^2 + Y_j^2) (nonnegative quadratic
-    form); ``sign="geometer"`` gives Delta_H = +sum(...) = div_H D_H.
-    """
-    if sign not in ("positive", "geometer"):
-        raise ValueError(f"sign must be 'positive' or 'geometer', got {sign!r}")
-    s = -1.0 if sign == "positive" else 1.0
+def sublaplacian(u, conv: FieldConvention = HN):
+    """Sub-Laplacian L = -sum(X_j^2 + Y_j^2) (nonnegative quadratic form) by
+    composing the first-order stencils."""
     acc = None
     for j in range(_n_of(u, conv)):
         xx = _vals(apply_X(j, apply_X(j, u, conv), conv))
         yy = _vals(apply_Y(j, apply_Y(j, u, conv), conv))
         acc = xx + yy if acc is None else acc + xx + yy
-    return _like(u, s * acc)
+    return _like(u, -1.0 * acc)
 
 
-def sublaplacian_expanded(u: ScalarField, conv: FieldConvention = HN, sign: str = "positive") -> ScalarField:
+def sublaplacian_expanded(u: ScalarField, conv: FieldConvention = HN) -> ScalarField:
     """Sub-Laplacian from the expanded formula with direct second-difference stencils.
 
-    For H3 (positive sign) this is
+    For H3 this is
     ``-Delta - 4 (y_1^2 + y_2^2) d^2/dtau^2 + 4 (y_2 d/dy_1 - y_1 d/dy_2) d/dtau``;
     for HN the analogous 2n+1 dimensional expansion.  It matches
     :func:`sublaplacian` to O(h^2) (different stencils for the pure second
     derivatives), which is exactly what the operator-identity checks measure.
     """
-    if sign not in ("positive", "geometer"):
-        raise ValueError(f"sign must be 'positive' or 'geometer', got {sign!r}")
     if isinstance(u, PolyField):
         raise DimensionMismatchError("expanded form is a grid discretization; use sublaplacian()")
     n = conv.n_of(u.ndim)
@@ -339,46 +322,7 @@ def sublaplacian_expanded(u: ScalarField, conv: FieldConvention = HN, sign: str 
             + sy * ca * first_diff(dt_u, b, g.spacing[b])
         )
     acc = acc + 4.0 * z2 * dtt_u
-    s = -1.0 if sign == "positive" else 1.0
-    return u._new(s * acc)
-
-
-# ---------------------------------------------------------------------------
-# complex fields (H3 frame)
-# ---------------------------------------------------------------------------
-
-
-def _require_complex(u: ScalarField, opname: str) -> None:
-    if not u.is_complex:
-        raise DimensionMismatchError(
-            f"{opname} produces complex values; store the field as complex128 "
-            "(real-only storage rejected)"
-        )
-
-
-def _h3_complex_parts(u, conv: FieldConvention, opname: str):
-    """(d/dy_1 u, d/dy_2 u, d/dtau u, y_1, y_2) for the complex fields of the h3 frame."""
-    if conv.name != "h3":
-        raise DimensionMismatchError("complex fields are defined on the h3 frame")
-    if isinstance(u, PolyField):
-        conv.n_of(u.nvars)
-        return u.diff(0), u.diff(1), u.diff(2), PolyField.variable(0, 3), PolyField.variable(1, 3)
-    _require_complex(u, opname)
-    conv.n_of(u.ndim)
-    g = u.grid
-    return (*(first_diff(u.values, a, g.spacing[a]) for a in range(3)), g.axis_mesh(0), g.axis_mesh(1))
-
-
-def apply_Z(u, conv: FieldConvention = H3):
-    """Z = d/dz - 2 i zbar d/dtau with d/dz = d/dy_1 - i d/dy_2 (no 1/2 factor)."""
-    d1, d2, dt, y1, y2 = _h3_complex_parts(u, conv, "apply_Z")
-    return _like(u, d1 - 1j * d2 - 2j * (y1 - 1j * y2) * dt)
-
-
-def apply_Zbar(u, conv: FieldConvention = H3):
-    """Zbar = d/dzbar + 2 i z d/dtau with d/dzbar = d/dy_1 + i d/dy_2."""
-    d1, d2, dt, y1, y2 = _h3_complex_parts(u, conv, "apply_Zbar")
-    return _like(u, d1 + 1j * d2 + 2j * (y1 + 1j * y2) * dt)
+    return u._new(-1.0 * acc)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +343,11 @@ def twisted_laplacian(u: ScalarField, tau: float, angular_sign: int = 1) -> Scal
         raise ValueError("angular_sign must be +1 or -1")
     if u.ndim != 2:
         raise DimensionMismatchError("twisted Laplacian acts on 2-d fields")
-    _require_complex(u, "twisted_laplacian")
+    if not u.is_complex:
+        raise DimensionMismatchError(
+            "twisted_laplacian produces complex values; store the field as complex128 "
+            "(real-only storage rejected)"
+        )
     g = u.grid
     y1 = g.axis_mesh(0)
     y2 = g.axis_mesh(1)

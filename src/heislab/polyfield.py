@@ -138,9 +138,10 @@ class PolyField:
             return np.zeros(shape, dtype=complex)
         return out + np.zeros(np.broadcast_shapes(*(c.shape for c in coords)), dtype=complex)
 
-    def max_abs_on_lattice(self, half_width: float = 2.0, points_per_axis: int = 5) -> float:
-        """Max |p| over a uniform sample lattice; 0 iff the polynomial is identically 0."""
-        axes = np.linspace(-half_width, half_width, points_per_axis)
+    def max_abs_on_lattice(self) -> float:
+        """Max |p| over the 5-point-per-axis lattice on [-2, 2]^nvars; 0 iff the
+        polynomial is identically 0, when no variable reaches degree 5."""
+        axes = np.linspace(-2.0, 2.0, 5)
         grids = np.meshgrid(*([axes] * self.nvars), indexing="ij")
         return float(np.max(np.abs(self.evaluate(grids)))) if self.terms else 0.0
 

@@ -59,7 +59,6 @@ __all__ = [
     "MPResult",
     "FSResult",
     "validate_exponents",
-    "zero_boundary",
     "dirichlet_field",
     "random_dirichlet_field",
     "hw_norm",
@@ -356,13 +355,6 @@ def _boundary_mask(counts: tuple) -> np.ndarray:
     return mask
 
 
-def zero_boundary(u: ScalarField) -> ScalarField:
-    """Return u with the boundary ring set to exact zeros."""
-    vals = u.values.copy()
-    vals[_boundary_mask(u.grid.counts)] = 0.0
-    return ScalarField(u.grid, vals)
-
-
 def dirichlet_field(grid: BoxGrid, fn) -> ScalarField:
     """Evaluate fn on the coordinate meshes and zero the boundary ring."""
     vals = np.asarray(fn(*grid.meshes()), dtype=float)
@@ -401,7 +393,7 @@ def _check_admissible(u: ScalarField, problem: KirchhoffProblem) -> None:
     if np.any(ring != 0.0):
         raise ValueError(
             "Dirichlet truncation requires exact zeros on the boundary ring; "
-            "build fields with dirichlet_field / zero_boundary"
+            "build fields with dirichlet_field"
         )
 
 
@@ -529,9 +521,13 @@ class _RayProfile:
         pr, K = self.problem, self.problem.kirchhoff
         r = pr.nonlinearity.r_g
         m0, c1 = (K.m0, K.b) if K.kind == "nondegenerate" else (0.0, K.m1)
+        try:
+            grown = c1 * self.T ** K.kappa
+        except OverflowError:  # a finite T whose power is not: c1 >= 0 times inf
+            grown = math.inf if c1 else 0.0
         terms = (
             (m0 * self.T, pr.p - 1.0),
-            (c1 * self.T ** K.kappa, pr.p * K.kappa - 1.0),
+            (grown, pr.p * K.kappa - 1.0),
             (-pr.lam * r * self.F, r - 1.0),
             (-self.C, pr.p_star - 1.0),
         )
@@ -943,9 +939,10 @@ def mountain_pass_solve(
     t (u - s g) carries t times its trial's.  T is p-homogeneous, so the
     accepted iterate's T(t w) is t^p T(w), with T(w) from its trial's ray, and
     the gradient takes it from there.  D_H u and T are evaluated afresh on
-    u_1 only.  A trial is valid when its ray quadratures are finite and C =
-    int |w|^{p*} > 0 (w != 0); any other trial halves the step without a
-    ray-peak search, and no extra pass over the trial tests it.
+    u_1 only.  A trial is valid when the coefficients of its ray profile's
+    phi' are finite (then so are its quadratures) and C = int |w|^{p*} > 0
+    (w != 0); any other trial halves the step without a ray-peak search, and
+    no extra pass over the trial tests it.
 
     ``nodes`` is ignored.  It set the size of a discrete path in an earlier
     two-phase solver, and the benchmark's ``mountain-pass`` workload
@@ -991,8 +988,10 @@ def mountain_pass_solve(
                 np.multiply(cg.values, -s, out=ct.values)
                 np.add(ct.values, cu.values, out=ct.values)
             Tt, F, C = nod.ray(trial, problem.nonlinearity, G_trial)
-            if C > 0.0 and all(map(math.isfinite, (Tt, F, C))):  # else 0 or overflowing
-                t, jt = _RayProfile(problem, Tt, F, C).peak()
+            trial_ray = _RayProfile(problem, Tt, F, C)
+            # else w = 0, or a quadrature or a coefficient of phi' overflowed
+            if C > 0.0 and all(math.isfinite(c) for c, _ in trial_ray._terms):
+                t, jt = trial_ray.peak()
                 if math.isfinite(jt) and jt < j - 1e-14 * (1.0 + abs(j)):
                     break
             s *= 0.5
@@ -1069,12 +1068,12 @@ def mp_geometry_check(
     return {"ok": False, "rho": None, "alpha": None, "samples": len(pool), "table": table}
 
 
-def ps_monitor(result: MPResult, threshold: float | None = None) -> dict:
+def ps_monitor(result: MPResult) -> dict:
     """Palais-Smale bookkeeping on an MPResult log.
 
     Flags: energies Cauchy over the tail window, gradient norms down to the
     solver tolerance, iterate norms bounded, and final energy strictly below
-    the compactness threshold (when one is available).
+    the compactness threshold ``result.threshold`` (when it is finite).
     """
     gs = np.asarray(result.gradient_norms, dtype=float)
     ns = np.asarray(result.norms, dtype=float)
@@ -1083,8 +1082,8 @@ def ps_monitor(result: MPResult, threshold: float | None = None) -> dict:
         gs.size > 0 and result.tol > 0 and gs[-1] <= result.tol
     )
     norms_bounded = bool(ns.size > 0 and np.all(np.isfinite(ns)) and np.max(ns) < 1e6)
-    thr = result.threshold if threshold is None else float(threshold)
-    if thr is not None and math.isfinite(thr):
+    thr = result.threshold
+    if math.isfinite(thr):
         below = bool(result.energy < thr)
         window = {"energy": result.energy, "threshold": thr, "below": below}
     else:

@@ -252,6 +252,20 @@ def test_folland_stein_campaign_reproducible_csv(tmp_path):
     assert data["results"]["value"] > 0
 
 
+def test_solve_campaign_reproducible_csv(tmp_path):
+    runs = []
+    for sub in ("a", "b"):
+        cfg = cli.resolve_config(
+            "solve", {"kind": "solve"}, {"out": str(tmp_path / sub), "grid": "17", "seed": 3}
+        )
+        code, report, _ = cli.run(cfg)
+        assert code == 0 and report["ok"]
+        runs.append(tuple((tmp_path / sub / name).read_bytes() for name in ("ps_log.csv", "ray.csv")))
+    assert runs[0] == runs[1], "same config + seed must give identical CSV bytes"
+    assert runs[0][0].startswith(b"iteration,energy,gradient_norm,hw_norm\n")
+    assert runs[0][1].startswith(b"t,energy\n")
+
+
 def test_spectra_campaign(tmp_path):
     cfg = cli.resolve_config(
         "spectra",

@@ -9,12 +9,10 @@ import numpy as np
 import pytest
 
 from heislab import (
-    GroupParams,
     HeisPoint,
     dilate,
     group_inv,
     group_mul,
-    in_ball,
     koranyi_dist,
     koranyi_norm,
 )
@@ -27,16 +25,6 @@ def _random_points(rng, n, batch):
         rng.normal(size=(batch, n)),
         rng.normal(size=batch),
     )
-
-
-def test_group_params_dimensions():
-    assert GroupParams(1).homogeneous_dimension == 4
-    assert GroupParams(1).topological_dimension == 3
-    assert GroupParams(3).homogeneous_dimension == 8
-    with pytest.raises(ValueError):
-        GroupParams(0)
-    with pytest.raises(ValueError):
-        GroupParams(2.5)
 
 
 def test_product_hand_value():
@@ -142,16 +130,6 @@ def test_distance_symmetry_and_triangle():
     # the gauge distance is a true metric: triangle inequality with constant 1
     slack = 1e-12 * np.max(1.0 + dab)
     assert np.all(koranyi_dist(a, c) <= dab + koranyi_dist(b, c) + slack)
-
-
-def test_in_ball_membership():
-    center = HeisPoint.origin(1)
-    near = HeisPoint.from_coords([0.1, 0.0, 0.0])
-    far = HeisPoint.from_coords([5.0, 0.0, 0.0])
-    assert bool(in_ball(center, 1.0, near).ravel()[0])
-    assert not bool(in_ball(center, 1.0, far).ravel()[0])
-    with pytest.raises(ValueError):
-        in_ball(center, -1.0, near)
 
 
 def test_coords_round_trip_and_validation():

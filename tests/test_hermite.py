@@ -1,7 +1,7 @@
 """Hermite functions, Fourier transform, and Fourier-Wigner transform tests.
 
-Oracles: the exact-coefficient Rodrigues evaluation, sympy's Hermite
-polynomials at rational points, closed-form Gaussian transforms, the
+Oracles: sympy's Hermite polynomials, normalized and weighted exactly, at
+rational points, closed-form Gaussian transforms, the
 (-i)^k Fourier eigenvalue of the Hermite functions, and quadrature
 orthonormality checked against analytic values.
 """
@@ -16,8 +16,6 @@ import sympy
 from heislab import (
     hermite_fn,
     hermite_fn_scaled,
-    hermite_poly,
-    hermite_poly_rodrigues,
     tabulate_eigenfunction,
 )
 from heislab.exceptions import QuadratureTailError
@@ -30,34 +28,20 @@ def _e(k: int, tau: float = 1.0):
     return partial(hermite_fn_scaled, k, tau)
 
 
-def test_recurrence_matches_rodrigues_coefficients():
-    rng = np.random.default_rng(2)
-    x = rng.uniform(-3.0, 3.0, size=64)
-    for k in range(9):
-        a = hermite_poly(k, x)
-        b = hermite_poly_rodrigues(k, x)
-        scale = np.max(np.abs(b)) or 1.0
-        assert np.max(np.abs(a - b)) <= 1e-10 * scale
-
-
 def test_recurrence_matches_sympy():
+    # e_k(x) = (2^k k! sqrt(pi))^{-1/2} e^{-x^2/2} H_k(x), with sympy's H_k
+    # and the weight evaluated to 30 digits at rational points
     xs = sympy.Symbol("xs")
-    for k in range(7):
-        poly = sympy.hermite(k, xs)
-        for q in (-2, sympy.Rational(-1, 2), 0, sympy.Rational(3, 4), 2):
-            exact = float(poly.subs(xs, q))
-            ours = hermite_poly(k, float(q))
-            assert abs(ours - exact) <= 1e-10 * max(1.0, abs(exact))
-
-
-def test_hermite_poly_hand_values():
-    # H_0 = 1, H_1 = 2x, H_2 = 4x^2 - 2, H_3 = 8x^3 - 12x
-    assert hermite_poly(0, 0.5) == 1.0
-    assert hermite_poly(1, 0.5) == 1.0
-    assert hermite_poly(2, 0.5) == -1.0
-    assert hermite_poly(3, 0.5) == -5.0
+    qs = (-6, -3, sympy.Rational(-1, 2), 0, sympy.Rational(3, 4), 2, sympy.Rational(9, 2))
+    x = np.array([float(q) for q in qs])
+    for k in range(9):
+        norm = (2**k * sympy.factorial(k) * sympy.sqrt(sympy.pi)) ** sympy.Rational(-1, 2)
+        fn = norm * sympy.exp(-xs**2 / 2) * sympy.hermite(k, xs)
+        exact = np.array([float(fn.subs(xs, q).evalf(30)) for q in qs])
+        np.testing.assert_allclose(hermite_fn(k, x), exact, rtol=1e-13, atol=1e-15)
+        assert hermite_fn(k, 0.75) == pytest.approx(exact[4], rel=1e-13, abs=1e-15)
     with pytest.raises(ValueError):
-        hermite_poly(-1, 0.0)
+        hermite_fn(-1, 0.0)
 
 
 def test_hermite_functions_orthonormal_by_quadrature():

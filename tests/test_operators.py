@@ -26,8 +26,6 @@ from heislab import (
     apply_T,
     apply_X,
     apply_Y,
-    apply_Z,
-    apply_Zbar,
     commutator_check,
     horizontal_divergence,
     horizontal_gradient,
@@ -114,7 +112,7 @@ def test_sublaplacian_polynomial_vs_hand_expansion():
     y1 = PolyField.variable(0, 3)
     y2 = PolyField.variable(1, 3)
     for u in _monomials(3, 3):
-        lhs = sublaplacian(u, H3, sign="positive")
+        lhs = sublaplacian(u, H3)
         d11 = u.diff(0).diff(0)
         d22 = u.diff(1).diff(1)
         dt = u.diff(2)
@@ -124,22 +122,10 @@ def test_sublaplacian_polynomial_vs_hand_expansion():
         assert (lhs - rhs).is_zero()
 
 
-def test_zzbar_identity_polynomial():
-    # Z = X - iY, Zbar = X + iY, so -(1/2)(Z Zbar + Zbar Z) = -(X^2 + Y^2):
-    # the cross terms i[X, Y] cancel between the two orderings.
-    for u in _monomials(3, 3):
-        zz = apply_Z(apply_Zbar(u, H3), H3) + apply_Zbar(apply_Z(u, H3), H3)
-        lhs = -0.5 * zz
-        rhs = -(
-            apply_X(0, apply_X(0, u, H3), H3) + apply_Y(0, apply_Y(0, u, H3), H3)
-        )
-        assert (lhs - rhs).coeff_sup() <= 1e-13
-
-
 def test_p4_sublaplacian_polynomial_mode():
     x = PolyField.variable(0, 3)
     out = p_sublaplacian(x, 4.0, conv=HN)
-    # |D_H x|^2 = 1, so div(|D_H x|^2 D_H x) = L_geometer(x) = 0
+    # |D_H x|^2 = 1, so div(|D_H x|^2 D_H x) = -L(x) = 0
     assert out.is_zero()
     with pytest.raises(DimensionMismatchError):
         p_sublaplacian(x, 3.0, conv=HN)
@@ -202,22 +188,8 @@ def test_composed_and_expanded_sublaplacian_agree():
     grid = BoxGrid((-6.0, -6.0, -6.0), (6.0, 6.0, 6.0), (61, 61, 61))
     u = _gaussian_field(grid)
     a = sublaplacian(u, HN).values
-    geo = sublaplacian(u, HN, sign="geometer").values
-    np.testing.assert_allclose(geo, -a, atol=0)
     with pytest.raises(DimensionMismatchError):
         sublaplacian_expanded(PolyField.variable(0, 3), HN)
-
-
-def test_zzbar_identity_on_grid_exact():
-    # Z/Zbar compose the same first-difference stencils as X/Y, so the
-    # identity -(1/2)(Z Zbar + Zbar Z) u = -(X^2 + Y^2) u holds to rounding.
-    grid = BoxGrid((-5.0, -5.0, -5.0), (5.0, 5.0, 5.0), (41, 41, 41))
-    x, y, t = grid.meshes()
-    u = ScalarField(grid, ((x + 1j * y) * np.exp(-(x * x + y * y + t * t))).astype(np.complex128))
-    zz = apply_Z(apply_Zbar(u, H3), H3).values + apply_Zbar(apply_Z(u, H3), H3).values
-    lhs = -0.5 * zz
-    rhs = sublaplacian(u, H3, sign="positive").values
-    assert float(np.max(np.abs(lhs - rhs))) <= 1e-12 * float(np.max(np.abs(rhs)))
 
 
 def test_first_order_fields_are_antisymmetric_on_grid():
@@ -255,7 +227,7 @@ def test_p_sublaplacian_reduces_to_sublaplacian_at_p2():
     grid = BoxGrid((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), (15, 15, 15))
     u = ScalarField(grid, rng.standard_normal(grid.counts))
     a = p_sublaplacian(u, 2.0, conv=HN).values
-    b = sublaplacian(u, HN, sign="geometer").values
+    b = -sublaplacian(u, HN).values
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -340,15 +312,6 @@ def _ref_sublaplacian(values, grid, conv):
     return -1.0 * acc
 
 
-def _ref_z(values, grid, sign):
-    d1, d2, dt = (_ref_d1(values, a, grid.spacing[a]) for a in range(3))
-    if sign < 0:
-        zbar = grid.axis_mesh(0) - 1j * grid.axis_mesh(1)
-        return d1 - 1j * d2 - 2j * zbar * dt
-    z = grid.axis_mesh(0) + 1j * grid.axis_mesh(1)
-    return d1 + 1j * d2 + 2j * z * dt
-
-
 def _ref_twisted(values, grid, tau, angular_sign):
     y1, y2 = grid.axis_mesh(0), grid.axis_mesh(1)
     h = grid.spacing
@@ -394,9 +357,6 @@ def test_stencils_bitwise_equal_to_shifted_copy_reference(conv, grid, complex_):
         got = p_sublaplacian(u, p, conv=conv).values
         assert np.array_equal(got, _ref_p_sublaplacian(values, grid, conv, p))
     assert np.array_equal(sublaplacian(u, conv).values, _ref_sublaplacian(values, grid, conv))
-    if conv is H3 and complex_:
-        assert np.array_equal(apply_Z(u, H3).values, _ref_z(values, grid, -1))
-        assert np.array_equal(apply_Zbar(u, H3).values, _ref_z(values, grid, 1))
 
 
 @pytest.mark.parametrize(

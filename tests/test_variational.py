@@ -7,6 +7,7 @@ the assembled gradient, and a closed-form ray peak, checked against dense
 energy scans, for the constrained-descent projection.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -35,7 +36,6 @@ from heislab import (
     random_dirichlet_field,
     ray_scan,
     validate_exponents,
-    zero_boundary,
 )
 from heislab import operators, variational
 from heislab.variational import _Nodal, _RayProfile
@@ -229,7 +229,8 @@ def test_zero_boundary_and_admissibility():
     raw = ScalarField(grid, np.exp(-(x * x + y * y + t * t)))
     with pytest.raises(ValueError):
         energy(raw, prob)  # nonzero ring
-    ok = zero_boundary(raw)
+    ok = dirichlet_field(grid, lambda x, y, t: np.exp(-(x * x + y * y + t * t)))
+    assert np.array_equal(ok.values[1:-1, 1:-1, 1:-1], raw.values[1:-1, 1:-1, 1:-1])
     assert energy(ok, prob) != 0.0
     other = random_dirichlet_field(BoxGrid((-4.0,) * 3, (4.0,) * 3, (11,) * 3), seed=0)
     with pytest.raises(ValueError):
@@ -386,7 +387,7 @@ def test_mountain_pass_carries_t_from_the_second_iteration(monkeypatch):
 def test_mountain_pass_skips_a_trial_whose_quadratures_overflow(monkeypatch):
     # a first direction of size 1e80 overflows int |trial|^4 for every step
     # down to about 2^-10; the line search halves past those trials without
-    # building their ray profiles, and ends stagnated after 60 halvings
+    # searching their rays' peaks, and ends stagnated after 60 halvings
     prob = desk_problem()
     v0 = random_dirichlet_field(prob.grid, seed=1, bumps=2)
     v0 = ScalarField(prob.grid, v0.values / hw_norm(v0, prob))
@@ -416,6 +417,48 @@ def test_mountain_pass_skips_a_trial_whose_quadratures_overflow(monkeypatch):
     assert len(overflowed) >= 5
     assert all(all(map(math.isfinite, q)) for q in peaked)
     assert len(peaked) == len(quadratures) - len(overflowed)
+
+
+def test_ray_profile_takes_an_overflowing_power_as_inf():
+    # T = 1e250 is finite but T^1.5 is not: the coefficient of phi' reads
+    # inf (0 when its factor b is 0) instead of raising from the float power
+    prob = desk_problem()
+    terms = _RayProfile(prob, 1e250, 1.0, 1e300)._terms
+    assert terms[0][0] == 1e250 and terms[1][0] == math.inf
+    flat = KirchhoffProblem(
+        n=1, p=2.0, lam=50.0, kirchhoff=KirchhoffM.nondegenerate(1.0, b=0.0, kappa=1.5),
+        nonlinearity=GrowthNonlinearity(3.5, 3.5), grid=prob.grid,
+    )
+    assert _RayProfile(flat, 1e250, 1.0, 1e300)._terms[1][0] == 0.0
+    t, val = _RayProfile(prob, 1e200, 1.0, 1e300).peak()  # T^1.5 = 1e300 is finite
+    assert 0.0 < t < math.inf and math.isfinite(val)
+
+
+def test_mountain_pass_halves_the_step_on_a_trial_whose_ray_coefficient_overflows(monkeypatch):
+    # every trial's T reads 1e250: its quadratures are finite, but T^kappa
+    # overflows, so each trial halves the step without a ray-peak search
+    prob = desk_problem()
+    v0 = random_dirichlet_field(prob.grid, seed=1, bumps=2)
+    v0 = ScalarField(prob.grid, v0.values / hw_norm(v0, prob))
+    e = ScalarField(prob.grid, ray_scan(v0, prob, t_max=60.0, steps=400)["t_negative"] * v0.values)
+    real_ray, real_peak = _Nodal.ray, _RayProfile.peak
+    calls, peaked = [], []
+
+    def ray(self, *args):
+        T, F, C = real_ray(self, *args)
+        calls.append(T)
+        return (T if len(calls) == 1 else 1e250), F, C
+
+    def peak(self):
+        peaked.append(self.T)
+        return real_peak(self)
+
+    monkeypatch.setattr(_Nodal, "ray", ray)
+    monkeypatch.setattr(_RayProfile, "peak", peak)
+    mp = mountain_pass_solve(prob, e, max_iter=3)
+    assert mp.stagnated and mp.iterations == 1
+    assert len(calls) == 61  # e's ray, then 60 trials
+    assert peaked == [calls[0]]  # e's ray only
 
 
 def test_gradient_vanishes_on_ring():
@@ -994,8 +1037,9 @@ def test_ps_monitor_flags():
     assert mon["gradients_converged"]
     assert mon["norms_bounded"]
     assert mon["all_ok"]
-    assert ps_monitor(good, threshold=2.0)["below_threshold"] is True
-    assert ps_monitor(good, threshold=0.5)["below_threshold"] is False
+    assert mon["below_threshold"] is None  # no finite threshold
+    assert ps_monitor(dataclasses.replace(good, threshold=2.0))["below_threshold"] is True
+    assert ps_monitor(dataclasses.replace(good, threshold=0.5))["below_threshold"] is False
 
     bad = _tiny_result(
         energies=[float(i) for i in range(n)],

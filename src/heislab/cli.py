@@ -69,14 +69,11 @@ SCHEMA = "heislab-report-v1"
 # ---------------------------------------------------------------------------
 
 
-def _parse_grid(text: str) -> tuple[int, ...]:
+def _parse_grid(text: str) -> int:
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        return int(text)
     except ValueError as exc:
-        raise SystemExit(f"--grid expects 'n' or 'n,n,n', got {text!r}") from exc
-    if not parts or any(p < 3 for p in parts):
-        raise SystemExit(f"--grid counts must all be >= 3, got {text!r}")
-    return parts
+        raise SystemExit(f"--grid expects one node count n, got {text!r}") from exc
 
 
 def _load_config_file(path: str) -> dict:
@@ -111,7 +108,8 @@ def resolve_config(kind: str, file_config: dict | None, flags: dict) -> dict:
             raise SystemExit("config field 'params' must be an object")
         unknown = sorted(set(fparams) - set(params))
         if unknown:
-            raise SystemExit(f"config params not understood for {kind}: {unknown}")
+            hint = "; the seed is the top-level 'seed'" if "seed" in unknown else ""
+            raise SystemExit(f"config params not understood for {kind}: {unknown}{hint}")
         params.update(fparams)
         seed = int(file_config.get("seed", seed))
         out = file_config.get("out", out)
@@ -126,14 +124,10 @@ def resolve_config(kind: str, file_config: dict | None, flags: dict) -> dict:
     if flags.get("grid") is not None:
         counts = _parse_grid(flags["grid"])  # malformed text fails on every kind
         if "counts" in params:
-            params["counts"] = counts[0] if len(counts) == 1 else list(counts)
-    counts = params.get("counts")
-    if isinstance(counts, (list, tuple)):
-        axes = _CAMPAIGNS[kind].axes(params)
-        if len(counts) not in (1, axes):
-            raise SystemExit(f"{kind} takes 1 or {axes} counts, one per grid axis; got {list(counts)}")
-        if len(set(counts)) > 1:
-            raise SystemExit(f"counts {list(counts)} differ; every axis takes the same count")
+            params["counts"] = counts
+    counts = params.get("counts", 3)  # gram has no grid
+    if type(counts) is not int or counts < 3 or counts % 2 == 0:
+        raise SystemExit(f"counts must be an odd integer >= 3 (nodes per axis), got {counts!r}")
     params["seed"] = seed
     return {"schema": SCHEMA, "kind": kind, "seed": seed, "out": out, "params": params}
 
@@ -165,29 +159,29 @@ def _jsonable(obj):
 
 
 class _Campaign(NamedTuple):
-    """One verb: its default parameters, runner, CSV tables, plots and grid axes.
+    """One verb: its default parameters, runner, CSV tables and plots.
 
+    The defaults hold no seed: ``resolve_config`` writes the top-level seed
+    into the params.  A grid's ``counts`` is its nodes per axis, one odd int.
     A table is (file, header line, rows from ``results``).  A plot is (file,
     x, y, axes method, x label, y label, style) and draws
     ``ax.<method>([x,] y, **style)``; x and y are key paths into ``results``,
-    x None plots y against its index, and an empty y draws nothing.  ``axes``
-    maps the params to the number of grid axes that ``counts`` sets.
+    x None plots y against its index, and an empty y draws nothing.
     """
 
     defaults: dict
     run: Callable[[dict], tuple[dict, dict]]
     tables: tuple
     plots: tuple
-    axes: Callable[[dict], int] | None
 
 
 _CAMPAIGNS: dict[str, _Campaign] = {}
 
 
-def _campaign(kind: str, defaults: dict, tables: tuple, plots: tuple = (), axes=None):
+def _campaign(kind: str, defaults: dict, tables: tuple, plots: tuple = ()):
     """Register the decorated runner as campaign ``kind``; ``--help`` keeps this order."""
     def register(run):
-        _CAMPAIGNS[kind] = _Campaign(defaults, run, tables, plots, axes)
+        _CAMPAIGNS[kind] = _Campaign(defaults, run, tables, plots)
         return run
     return register
 
@@ -212,12 +206,6 @@ def _columns(*paths: str, index: bool = False) -> Callable[[dict], list]:
     return rows
 
 
-def _count(p: dict) -> int:
-    """Nodes per axis; ``resolve_config`` rejects a ``counts`` list that differs."""
-    counts = p["counts"]
-    return counts if isinstance(counts, int) else counts[0]
-
-
 # ---------------------------------------------------------------------------
 # campaigns
 # ---------------------------------------------------------------------------
@@ -238,7 +226,7 @@ def _ladder_rows(results: dict) -> list:
     defaults={
         "tau": 1.0, "half": 8.0, "counts": 65, "m": 520, "levels": 3,
         "angular_sign": 1, "scaling": 2.0, "kappa0": 4.0,
-        "residual_pairs": [[0, 0], [0, 1]], "seed": 0,
+        "residual_pairs": [[0, 0], [0, 1]],
     },
     tables=(
         ("eigenvalues.csv", "index,eigenvalue", _columns("eigenvalues", index=True)),
@@ -252,10 +240,9 @@ def _ladder_rows(results: dict) -> list:
         ("eigenvalues.png", None, "eigenvalues", "plot", "index", "eigenvalue",
          {"marker": ".", "linestyle": "none"}),
     ),
-    axes=lambda p: 2,
 )
 def _run_spectra(p: dict) -> tuple[dict, dict]:
-    grid = BoxGrid.cube(float(p["half"]), _count(p), 2)
+    grid = BoxGrid.cube(float(p["half"]), p["counts"], 2)
     tau = float(p["tau"])
     h = max(grid.spacing)
     t0 = time.perf_counter()
@@ -305,7 +292,7 @@ def _run_spectra(p: dict) -> tuple[dict, dict]:
     "weyl",
     defaults={
         "lam": 4.0, "j": 0, "k": 0, "widths": [2.0, 4.0, 8.0, 16.0], "half": 7.0,
-        "counts": 141, "kappa0": 4.0, "probe_lambda": None, "tau0_start": 0.1, "seed": 0,
+        "counts": 141, "kappa0": 4.0, "probe_lambda": None, "tau0_start": 0.1,
     },
     tables=(
         ("weyl.csv", "width,sigma,tau0,residual,eigen_estimate",
@@ -315,12 +302,11 @@ def _run_spectra(p: dict) -> tuple[dict, dict]:
         ("weyl.png", "widths", "residuals", "loglog", "envelope width", "residual",
          {"marker": "o"}),
     ),
-    axes=lambda p: 2,  # the t axis always has 3 nodes
 )
 def _run_weyl(p: dict) -> tuple[dict, dict]:
     widths = [float(w) for w in p["widths"]]
     half = float(p["half"])
-    c = _count(p)
+    c = p["counts"]
     t_half = 3.0 * max(w * w for w in widths)
     grid3 = BoxGrid((-half, -half, -t_half), (half, half, t_half), (c, c, 3))
     probe_lambda = p["probe_lambda"]
@@ -353,7 +339,7 @@ def _gram_rows(results: dict) -> list:
 
 @_campaign(
     "gram",
-    defaults={"tau": 1.0, "J": 3, "K": 3, "seed": 0},
+    defaults={"tau": 1.0, "J": 3, "K": 3},
     tables=(
         ("gram.csv", "row_j,row_k,col_j,col_k,real,imag", _gram_rows),
         ("gram_norms.csv", "j,k,raw_norm", _columns("labels", "raw_norms")),
@@ -370,15 +356,14 @@ def _run_gram(p: dict) -> tuple[dict, dict]:
 
 @_campaign(
     "folland-stein",
-    defaults={"p": 2.0, "half": 4.0, "counts": 25, "iters": 200, "seed": 0},
+    defaults={"p": 2.0, "half": 4.0, "counts": 25, "iters": 200},
     tables=(
         ("fs_history.csv", "iteration,quotient", _columns("history", index=True)),
     ),
     plots=(("fs_history.png", None, "history", "semilogy", "iteration", "quotient", {}),),
-    axes=lambda p: 3,
 )
 def _run_folland_stein(p: dict) -> tuple[dict, dict]:
-    grid = BoxGrid.cube(float(p["half"]), _count(p), 3)
+    grid = BoxGrid.cube(float(p["half"]), p["counts"], 3)
     res = folland_stein_constant(
         grid, float(p["p"]), iters=int(p["iters"]), seed=int(p["seed"])
     )
@@ -394,17 +379,13 @@ def _run_folland_stein(p: dict) -> tuple[dict, dict]:
 
 def _build_problem(p: dict) -> KirchhoffProblem:
     n = int(p["n"])
-    grid = BoxGrid.cube(float(p["half"]), _count(p), 2 * n + 1)
-    if p["kirchhoff_kind"] == "degenerate":
-        km = KirchhoffM.degenerate(float(p["m1"]), float(p["kappa"]))
-    else:
-        km = KirchhoffM.nondegenerate(float(p["m0"]), float(p["b"]), float(p["kappa"]))
+    grid = BoxGrid.cube(float(p["half"]), p["counts"], 2 * n + 1)
     growth = GrowthNonlinearity(r_g=float(p["r_g"]), theta=float(p["theta"]))
     return KirchhoffProblem(
         n=n,
         p=float(p["p"]),
         lam=float(p["lam"]),
-        kirchhoff=km,
+        kirchhoff=KirchhoffM(float(p["m0"]), float(p["b"]), float(p["kappa"])),
         nonlinearity=growth,
         grid=grid,
         potential=float(p["potential"]),
@@ -414,11 +395,10 @@ def _build_problem(p: dict) -> KirchhoffProblem:
 @_campaign(
     "solve",
     defaults={
-        "n": 1, "p": 2.0, "lam": 50.0, "kirchhoff_kind": "nondegenerate",
-        "m0": 1.0, "b": 1.0, "m1": 1.0, "kappa": 1.5, "r_g": 3.5, "theta": 3.5,
-        "potential": 1.0, "half": 4.0, "counts": 33, "max_iter": 20000,
-        "fs_iters": 150, "ray_t_max": 24.0, "ray_steps": 200, "bump_width": 1.2,
-        "seed": 0,
+        "n": 1, "p": 2.0, "lam": 50.0, "m0": 1.0, "b": 1.0, "kappa": 1.5,
+        "r_g": 3.5, "theta": 3.5, "potential": 1.0, "half": 4.0, "counts": 33,
+        "max_iter": 20000, "fs_iters": 150, "ray_t_max": 24.0, "ray_steps": 200,
+        "bump_width": 1.2,
     },
     tables=(
         ("ray.csv", "t,energy", _columns("ray.ts", "ray.energies")),
@@ -432,7 +412,6 @@ def _build_problem(p: dict) -> KirchhoffProblem:
          "iteration", "gradient norm", {}),
         ("ray.png", "ray.ts", "ray.energies", "plot", "t", "J(t v0)", {}),
     ),
-    axes=lambda p: 2 * int(p["n"]) + 1,
 )
 def _run_solve(p: dict) -> tuple[dict, dict]:
     problem = _build_problem(p)
@@ -488,17 +467,16 @@ def _conventions_rows(results: dict) -> list:
 @_campaign(
     "conventions",
     defaults={
-        "tau": 1.0, "half": 6.0, "counts": 101, "j": 0, "k": 1, "kappa0": 4.0, "seed": 0,
+        "tau": 1.0, "half": 6.0, "counts": 101, "j": 0, "k": 1, "kappa0": 4.0,
     },
     tables=(
         ("conventions.csv",
          "scaling,angular_sign,residual,bridge_sign_inverse,bridge_sign_forward",
          _conventions_rows),
     ),
-    axes=lambda p: 2,
 )
 def _run_conventions(p: dict) -> tuple[dict, dict]:
-    grid = BoxGrid.cube(float(p["half"]), _count(p), 2)
+    grid = BoxGrid.cube(float(p["half"]), p["counts"], 2)
     checks: dict[str, bool] = {}
     try:
         choice = convention_search(
@@ -619,7 +597,7 @@ def main(argv=None) -> int:
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output directory (default $HEISLAB_OUT)")
         sp.add_argument("--seed", type=int, help="random seed")
-        sp.add_argument("--grid", help="grid counts: 'n', or one per grid axis")
+        sp.add_argument("--grid", help="nodes per grid axis, an odd n >= 3")
         sp.add_argument("--tau", type=float, help="vertical frequency")
         sp.add_argument("--lambda", dest="lam", type=float, help="problem parameter")
         sp.add_argument("--plots", action="store_true", help="render static plots")

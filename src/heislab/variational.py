@@ -80,78 +80,61 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KirchhoffM:
-    """Kirchhoff coefficient M and its closed-form primitive.
+    """Kirchhoff coefficient M(t) = m0 + b t^(kappa-1) and its closed-form
+    primitive Mprim(t) = m0 t + b t^kappa / kappa.
 
-    ``nondegenerate``: M(t) = m0 + b t^(kappa-1) with m0 > 0, b >= 0,
-    kappa >= 1 (so inf M = m0 > 0).
-    ``degenerate``:    M(t) = m1 t^(kappa-1) with m1 > 0, kappa > 1
-    (so M(0) = 0).
+    Nondegenerate family: m0 > 0, b >= 0, kappa >= 1 (so inf M = m0 > 0).
+    Degenerate family:    m0 = 0, b > 0, kappa > 1 (so M(0) = 0).
 
-    Both satisfy kappa * Mprim(t) >= M(t) * t for t >= 0 (with equality for
-    the degenerate family); checked numerically on a log-spaced sample at
-    construction.
+    Both satisfy kappa * Mprim(t) - M(t) * t = (kappa - 1) m0 t >= 0 for
+    t >= 0, with equality for the degenerate family.
     """
 
-    kind: str
-    m0: float = 0.0
+    m0: float
     b: float = 0.0
-    m1: float = 0.0
     kappa: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind == "nondegenerate":
+        if self.m0 == 0:
+            if not self.b > 0:
+                raise ValueError("degenerate family (m0 = 0) needs b > 0")
+            if not self.kappa > 1:
+                raise ValueError("degenerate family needs kappa > 1")
+        else:
             if not self.m0 > 0:
                 raise ValueError("nondegenerate family needs m0 > 0")
             if self.b < 0:
                 raise ValueError("nondegenerate family needs b >= 0")
             if self.kappa < 1:
                 raise ValueError("nondegenerate family needs kappa >= 1")
-        elif self.kind == "degenerate":
-            if not self.m1 > 0:
-                raise ValueError("degenerate family needs m1 > 0")
-            if not self.kappa > 1:
-                raise ValueError("degenerate family needs kappa > 1")
-        else:
-            raise ValueError(f"unknown Kirchhoff kind {self.kind!r}")
-        ts = np.logspace(-6, 6, 25)
-        prim = self.kappa * np.array([self.primitive(t) for t in ts])
-        mt = np.array([self.m(t) for t in ts]) * ts
-        scale = np.maximum(np.abs(prim), np.abs(mt)) + 1.0
-        if np.min((prim - mt) / scale) < -1e-12:
-            raise ValueError("kappa * Mprim(t) >= M(t) t fails on the sample")
 
     @classmethod
     def nondegenerate(cls, m0: float, b: float = 0.0, kappa: float = 1.0) -> "KirchhoffM":
-        return cls("nondegenerate", m0=float(m0), b=float(b), kappa=float(kappa))
+        return cls(float(m0), float(b), float(kappa))
 
     @classmethod
     def degenerate(cls, m1: float, kappa: float) -> "KirchhoffM":
-        return cls("degenerate", m1=float(m1), kappa=float(kappa))
+        return cls(0.0, float(m1), float(kappa))
+
+    @property
+    def kind(self) -> str:
+        return "degenerate" if self.m0 == 0 else "nondegenerate"
 
     def m(self, t: float) -> float:
         t = float(t)
         if t < 0:
             raise ValueError("M is defined on [0, infinity)")
-        if self.kind == "nondegenerate":
-            return self.m0 + self.b * t ** (self.kappa - 1.0)
-        return self.m1 * t ** (self.kappa - 1.0)
+        return self.m0 + self.b * t ** (self.kappa - 1.0)
 
     def primitive(self, t: float) -> float:
         """Mprim(t) = integral of M from 0 to t, in closed form."""
         t = float(t)
         if t < 0:
             raise ValueError("Mprim is defined on [0, infinity)")
-        if self.kind == "nondegenerate":
-            return self.m0 * t + self.b * t ** self.kappa / self.kappa
-        return self.m1 * t ** self.kappa / self.kappa
+        return self.m0 * t + self.b * t ** self.kappa / self.kappa
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind, "kappa": self.kappa}
-        if self.kind == "nondegenerate":
-            out.update(m0=self.m0, b=self.b)
-        else:
-            out.update(m1=self.m1)
-        return out
+        return {"kind": self.kind, "m0": self.m0, "b": self.b, "kappa": self.kappa}
 
 
 @dataclass(frozen=True)
@@ -517,16 +500,15 @@ class _RayProfile:
     C: float
 
     def __post_init__(self) -> None:
-        # phi'(t) = sum of c t^e over these (c, e): M(s) = M(0) + c1 s^(kappa - 1)
+        # phi'(t) = sum of c t^e over these (c, e): M(s) = m0 + b s^(kappa - 1)
         pr, K = self.problem, self.problem.kirchhoff
         r = pr.nonlinearity.r_g
-        m0, c1 = (K.m0, K.b) if K.kind == "nondegenerate" else (0.0, K.m1)
         try:
-            grown = c1 * self.T ** K.kappa
-        except OverflowError:  # a finite T whose power is not: c1 >= 0 times inf
-            grown = math.inf if c1 else 0.0
+            grown = K.b * self.T ** K.kappa
+        except OverflowError:  # a finite T whose power is not: b >= 0 times inf
+            grown = math.inf if K.b else 0.0
         terms = (
-            (m0 * self.T, pr.p - 1.0),
+            (K.m0 * self.T, pr.p - 1.0),
             (grown, pr.p * K.kappa - 1.0),
             (-pr.lam * r * self.F, r - 1.0),
             (-self.C, pr.p_star - 1.0),
@@ -787,9 +769,9 @@ def mp_threshold(
 ) -> float:
     """Compactness threshold (1/theta - 1/p*) * (coef * C^pow)^{p*/(p* - p pow)}.
 
-    Nondegenerate: coef = m0, pow = 1.  Degenerate: pow = kappa and coef
-    defaults to the family's own coefficient m1 (a degenerate family has no
-    m0); pass m_coef to substitute any other coefficient in either case.
+    Nondegenerate (m0 > 0): coef = m0, pow = 1.  Degenerate (m0 = 0): pow =
+    kappa and coef defaults to b, the family's own coefficient; pass m_coef to
+    substitute any other coefficient in either case.
     """
     theta = problem.nonlinearity.theta
     ps = problem.p_star
@@ -797,16 +779,16 @@ def mp_threshold(
         raise ValueError("theta >= p* makes the threshold prefactor nonpositive")
     pref = 1.0 / theta - 1.0 / ps
     K = problem.kirchhoff
-    if K.kind == "nondegenerate":
+    if K.m0 == 0:
+        if ps <= problem.p * K.kappa:
+            raise ValueError("degenerate threshold needs p* > p * kappa")
+        coef = K.b if m_coef is None else float(m_coef)
+        base = coef * fs_constant ** K.kappa
+        expo = ps / (ps - problem.p * K.kappa)
+    else:
         coef = K.m0 if m_coef is None else float(m_coef)
         base = coef * fs_constant
         expo = ps / (ps - problem.p)
-    else:
-        if ps <= problem.p * K.kappa:
-            raise ValueError("degenerate threshold needs p* > p * kappa")
-        coef = K.m1 if m_coef is None else float(m_coef)
-        base = coef * fs_constant ** K.kappa
-        expo = ps / (ps - problem.p * K.kappa)
     return pref * base ** expo
 
 

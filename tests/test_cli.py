@@ -9,6 +9,7 @@ desk scale, so the exit-status contract can be asserted both ways.
 """
 
 import json
+import re
 import sys
 import types
 from pathlib import Path
@@ -25,8 +26,8 @@ from heislab import cli, cluster_eigenvalues
 
 
 def test_parse_grid_forms():
-    assert cli._parse_grid("33") == (33,)
-    assert cli._parse_grid("9,11,9") == (9, 11, 9)
+    assert cli._parse_grid("33") == 33
+    assert cli._parse_grid("3") == 3
 
 
 def test_parse_grid_rejects_garbage():
@@ -61,6 +62,15 @@ def test_resolve_config_precedence_file_then_flags():
     assert cfg["out"] == "from-flags"
 
 
+def test_resolve_config_takes_the_seed_only_at_the_top_level():
+    cfg = cli.resolve_config("folland-stein", {"kind": "folland-stein", "seed": 5}, {})
+    assert cfg["seed"] == 5 and cfg["params"]["seed"] == 5
+    for kind in cli._CAMPAIGNS:
+        assert "seed" not in cli._CAMPAIGNS[kind].defaults
+        with pytest.raises(SystemExit, match=r"\['seed'\].*top-level 'seed'"):
+            cli.resolve_config(kind, {"kind": kind, "params": {"seed": 5}}, {})
+
+
 def test_resolve_config_flag_overrides_file_value():
     file_config = {"kind": "gram", "params": {"tau": 0.5}}
     cfg = cli.resolve_config("gram", file_config, {"tau": 2.0})
@@ -70,8 +80,6 @@ def test_resolve_config_flag_overrides_file_value():
 def test_resolve_config_grid_flag():
     cfg = cli.resolve_config("folland-stein", None, {"grid": "13"})
     assert cfg["params"]["counts"] == 13
-    cfg = cli.resolve_config("solve", None, {"grid": "9,9,9"})
-    assert cfg["params"]["counts"] == [9, 9, 9]
     # like --tau and --lambda, --grid applies only where the kind has a grid
     cfg = cli.resolve_config("gram", None, {"grid": "9"})
     assert "counts" not in cfg["params"]
@@ -79,51 +87,46 @@ def test_resolve_config_grid_flag():
         cli.resolve_config("gram", None, {"grid": "abc"})
 
 
-def test_resolve_config_rejects_differing_counts_from_a_flag(tmp_path):
-    with pytest.raises(SystemExit, match=r"counts \[9, 11, 13\] differ"):
-        cli.resolve_config("folland-stein", None, {"grid": "9,11,13"})
-    with pytest.raises(SystemExit, match=r"counts \[9, 41\] differ"):
-        cli.main(["spectra", "--grid", "9,41", "--out", str(tmp_path / "out")])
-    assert not (tmp_path / "out").exists()  # rejected before any computation
-
-
-def test_resolve_config_rejects_differing_counts_from_a_config_file():
-    file_config = {"kind": "solve", "params": {"counts": [9, 9, 11]}}
-    with pytest.raises(SystemExit, match=r"counts \[9, 9, 11\] differ"):
-        cli.resolve_config("solve", file_config, {})
-    file_config = {"kind": "solve", "params": {"counts": [9, 9, 9]}}
-    assert cli.resolve_config("solve", file_config, {})["params"]["counts"] == [9, 9, 9]
-
-
 @pytest.mark.parametrize("kind, grid, axes", [
     ("spectra", "9,9,9", 2), ("weyl", "71,71,71", 2), ("conventions", "41,41,41", 2),
     ("folland-stein", "9,9", 3), ("solve", "9,9", 3), ("solve", "9,9,9,9,9", 3),
 ])
 def test_resolve_config_rejects_a_count_per_wrong_number_of_axes_from_a_flag(kind, grid, axes):
-    with pytest.raises(SystemExit, match=rf"{kind} takes 1 or {axes} counts, one per grid axis"):
-        cli.resolve_config(kind, None, {"grid": grid})
+    # a count per axis is no spelling of --grid, whether or not it fits the grid
     single = grid.split(",")[0]
+    for text in (grid, ",".join([single] * axes)):
+        with pytest.raises(SystemExit, match=rf"--grid expects one node count n, got '{text}'"):
+            cli.resolve_config(kind, None, {"grid": text})
     assert cli.resolve_config(kind, None, {"grid": single})["params"]["counts"] == int(single)
 
 
 def test_resolve_config_rejects_a_count_per_wrong_number_of_axes_from_a_config_file():
-    # solve takes 2n + 1 counts: 5 on H_2, where the default 3 is too few
-    file_config = {"kind": "solve", "params": {"n": 2, "counts": [9, 9, 9]}}
-    with pytest.raises(SystemExit, match=r"solve takes 1 or 5 counts, .*got \[9, 9, 9\]"):
-        cli.resolve_config("solve", file_config, {})
-    file_config = {"kind": "solve", "params": {"n": 2, "counts": [9] * 5}}
-    assert cli.resolve_config("solve", file_config, {})["params"]["counts"] == [9] * 5
-    file_config = {"kind": "spectra", "params": {"counts": [45]}}  # a single count
-    assert cli.resolve_config("spectra", file_config, {})["params"]["counts"] == [45]
+    for kind, counts in (("solve", [9, 9, 9]), ("solve", [9, 9, 11]), ("spectra", [45])):
+        file_config = {"kind": kind, "params": {"counts": counts}}
+        with pytest.raises(SystemExit, match=rf"odd integer >= 3.*got {re.escape(repr(counts))}"):
+            cli.resolve_config(kind, file_config, {})
 
 
 def test_main_rejects_a_count_per_wrong_number_of_axes_before_any_output(tmp_path):
-    with pytest.raises(SystemExit, match=r"folland-stein takes 1 or 3 counts"):
+    with pytest.raises(SystemExit, match="--grid expects one node count"):
         cli.main(["folland-stein", "--grid", "9,9", "--out", str(tmp_path / "out")])
     config = tmp_path / "weyl.json"
     config.write_text(json.dumps({"kind": "weyl", "params": {"counts": [71, 71, 71]}}))
-    with pytest.raises(SystemExit, match=r"weyl takes 1 or 2 counts"):
+    with pytest.raises(SystemExit, match=r"got \[71, 71, 71\]"):
         cli.main(["weyl", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()  # rejected before any computation
+
+
+@pytest.mark.parametrize("counts", [10, 2, 1, -9, 33.0, True, "33"])
+def test_main_rejects_a_count_that_is_not_an_odd_int_before_any_output(tmp_path, counts):
+    # BoxGrid takes only odd counts, so an even count would fail inside the runner
+    if isinstance(counts, int) and not isinstance(counts, bool):
+        with pytest.raises(SystemExit, match=rf"odd integer >= 3.*got {counts}"):
+            cli.main(["folland-stein", "--grid", str(counts), "--out", str(tmp_path / "out")])
+    config = tmp_path / "fs.json"
+    config.write_text(json.dumps({"kind": "folland-stein", "params": {"counts": counts}}))
+    with pytest.raises(SystemExit, match=rf"odd integer >= 3.*got {re.escape(repr(counts))}"):
+        cli.main(["folland-stein", "--config", str(config), "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()  # rejected before any computation
 
 

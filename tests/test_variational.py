@@ -66,6 +66,13 @@ def test_kirchhoff_closed_forms():
     assert D.m(3.0) == pytest.approx(6.0, rel=1e-15)
     assert D.primitive(3.0) == pytest.approx(9.0, rel=1e-15)
     assert D.m(0.0) == 0.0  # the degenerate family vanishes at the origin
+    # the degenerate family is m0 = 0: bit for bit the forms m1 t^(kappa-1), m1 t^kappa / kappa
+    for m1, kappa in ((2.0, 2.0), (0.7, 1.5), (3.0, 4.25)):
+        D = KirchhoffM.degenerate(m1, kappa)
+        assert D == KirchhoffM(0.0, m1, kappa) and D.kind == "degenerate"
+        for t in np.logspace(-6, 6, 25):
+            assert D.m(t) == m1 * t ** (kappa - 1.0)
+            assert D.primitive(t) == m1 * t ** kappa / kappa
 
 
 def test_kirchhoff_validation():
@@ -79,8 +86,6 @@ def test_kirchhoff_validation():
         KirchhoffM.degenerate(-1.0, kappa=2.0)
     with pytest.raises(ValueError):
         KirchhoffM.degenerate(1.0, kappa=1.0)
-    with pytest.raises(ValueError):
-        KirchhoffM("mystery")
     with pytest.raises(ValueError):
         KirchhoffM.nondegenerate(1.0).m(-1.0)
     with pytest.raises(ValueError):
@@ -736,7 +741,7 @@ def test_mp_threshold_degenerate_hand_value():
         grid=grid,
     )
     C = 0.8
-    # pref (m1 C^kappa)^{p*/(p* - p kappa)} = (1/28) (2 * 0.8^1.5)^4
+    # pref (b C^kappa)^{p*/(p* - p kappa)} = (1/28) (2 * 0.8^1.5)^4
     expected = (1.0 / 28.0) * (2.0 * 0.8**1.5) ** 4
     assert mp_threshold(prob, C) == pytest.approx(expected, rel=1e-14)
     # any alternative coefficient is reproducible via the override

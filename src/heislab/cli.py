@@ -111,7 +111,9 @@ def resolve_config(kind: str, file_config: dict | None, flags: dict) -> dict:
             hint = "; the seed is the top-level 'seed'" if "seed" in unknown else ""
             raise SystemExit(f"config params not understood for {kind}: {unknown}{hint}")
         params.update(fparams)
-        seed = int(file_config.get("seed", seed))
+        seed = file_config.get("seed", seed)
+        if type(seed) is not int:  # bool is an int subclass, and int() would round or parse
+            raise SystemExit(f"config field 'seed' must be an integer, got {seed!r}")
         out = file_config.get("out", out)
     if flags.get("seed") is not None:
         seed = int(flags["seed"])

@@ -844,6 +844,17 @@ def _cauchy_tail(energies) -> bool:
     return bool(np.max(tail) - np.min(tail) <= _PS_TOL * (1.0 + abs(float(tail[-1]))))
 
 
+def _first_step(du: np.ndarray, dg: np.ndarray, step: float) -> float:
+    """The line search's first trial step from the differences du, dg of the
+    last two iterates and their gradients (or of their negatives): Barzilai
+    and Borwein's <du, du> / <du, dg>, clamped to [1e-12, 1e3], or ``step``
+    when <du, dg> is not positive and finite."""
+    curv = _Nodal.dot(du, dg)
+    if not (math.isfinite(curv) and curv > 0.0):
+        return step
+    return min(max(_Nodal.dot(du, du) / curv, 1e-12), 1e3)
+
+
 @dataclass
 class MPResult:
     """Mountain-pass outcome: approximate critical point plus the PS log, whose
@@ -926,6 +937,16 @@ def mountain_pass_solve(
     (w != 0); any other trial halves the step without a ray-peak search, and
     no extra pass over the trial tests it.
 
+    The line search's first trial step at iteration k >= 2 is Barzilai and
+    Borwein's s = <du, du> / <du, dg> (IMA J. Numer. Anal. 8, 1988), with du
+    and dg the differences of the last two accepted iterates and of their
+    gradients, clamped to [1e-12, 1e3]; it needs no energy or stencil call.
+    The first iteration tries s = 1, and one whose <du, dg> is not positive and
+    finite tries twice the previous accepted step, at most 1e3.  The step
+    only sets where the halvings start: acceptance still needs strict
+    decrease, the line-search safeguard Raydan (SIAM J. Optim. 7, 1997) gives
+    the step.  One array holds the previous iterate.
+
     ``nodes`` is ignored.  It set the size of a discrete path in an earlier
     two-phase solver, and the benchmark's ``mountain-pass`` workload
     (``bench/workloads.py``) still passes ``nodes=9``; remove it when that
@@ -945,6 +966,7 @@ def mountain_pass_solve(
     G = nod.grad(u)  # D_H u, carried from here on
     trial = np.empty_like(u)  # the trial and its D_H, formed in place for every trial
     G_trial = HorizontalVectorField(tuple(ScalarField(grid, np.empty_like(u)) for _ in G.components))
+    u_prev, g_prev = np.empty_like(u), None  # u_{k-1} and g_{k-1}
     energies, grad_norms, norms = [], [], []
     step, T = 1.0, None
     converged = stagnated = False
@@ -963,6 +985,10 @@ def mountain_pass_solve(
             break
         G_g = nod.grad(g)
         s = step
+        if g_prev is not None:
+            u_prev -= u  # -du
+            g_prev -= g  # -dg; g_{k-1} is not read again
+            s = _first_step(u_prev, g_prev, step)
         for _ in range(60):
             np.multiply(g, -s, out=trial)
             trial += u
@@ -980,10 +1006,11 @@ def mountain_pass_solve(
         else:
             stagnated = True
             break
+        np.copyto(u_prev, u)
         np.multiply(trial, t, out=u)
         for cu, ct in zip(G.components, G_trial.components):
             np.multiply(ct.values, t, out=cu.values)
-        j, step, T = jt, min(s * 2.0, 1e3), t ** problem.p * Tt
+        j, step, T, g_prev = jt, min(s * 2.0, 1e3), t ** problem.p * Tt, g
     u_star = ScalarField(grid, u)
     flags = {
         "converged": converged,

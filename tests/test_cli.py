@@ -130,6 +130,16 @@ def test_main_rejects_a_count_that_is_not_an_odd_int_before_any_output(tmp_path,
     assert not (tmp_path / "out").exists()  # rejected before any computation
 
 
+@pytest.mark.parametrize("seed", ["abc", "7", 1.7, 2.0, True, None, [1]])
+def test_main_rejects_a_config_seed_that_is_not_an_int_before_any_output(tmp_path, seed):
+    # int() would raise on "abc" and turn 1.7 and true into seed 1
+    config = tmp_path / "fs.json"
+    config.write_text(json.dumps({"kind": "folland-stein", "seed": seed}))
+    with pytest.raises(SystemExit, match=rf"'seed' must be an integer, got {re.escape(repr(seed))}"):
+        cli.main(["folland-stein", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()  # rejected before any computation
+
+
 def test_resolve_config_lambda_flag_applies_where_meaningful():
     cfg = cli.resolve_config("solve", None, {"lam": 25.0})
     assert cfg["params"]["lam"] == 25.0

@@ -38,7 +38,7 @@ from heislab import (
     validate_exponents,
 )
 from heislab import operators, variational
-from heislab.variational import _Nodal, _RayProfile
+from heislab.variational import _Nodal, _RayProfile, _first_step
 
 
 def desk_problem(counts=9, lam=50.0, half=4.0):
@@ -628,9 +628,58 @@ def test_mountain_pass_energy_is_the_energy_of_its_critical_point():
     # pass: criterion 11's problem at 17^3, to the bound of the benchmark check
     prob, e = _criterion_11_endpoint()
     mp = mountain_pass_solve(prob, e)
-    assert mp.flags["converged"] and mp.iterations == 370
+    assert mp.flags["converged"] and mp.iterations == 183
     assert mp.energy == pytest.approx(energy(mp.u_star, prob), rel=1e-12, abs=0.0)
     assert mp.norms[-1] == pytest.approx(hw_norm(mp.u_star, prob), rel=1e-12, abs=0.0)
+
+
+def test_mountain_pass_lands_near_the_critical_level():
+    # J* is the level this descent stagnates at, 6.6e7-fold below its first
+    # gradient norm, once the 5e-5 stop tolerance is lowered to 1e-9; the
+    # doubling/halving step rule run the same way agrees to 2e-11 relative.
+    # That rule stopped at the 5e-5 tolerance 4.4e-4 above J*.
+    prob, e = _criterion_11_endpoint()
+    J_star = 0.0057403409084
+    mp = mountain_pass_solve(prob, e)
+    assert abs(mp.energy - J_star) / J_star <= 2e-5
+
+
+def test_mountain_pass_is_odd():
+    # every step of the descent, the Barzilai-Borwein step included, is odd
+    # in u: from -e it takes the same steps to -u*
+    prob, e = _criterion_11_endpoint()
+    mp = mountain_pass_solve(prob, e)
+    neg = mountain_pass_solve(prob, ScalarField(prob.grid, -e.values))
+    assert np.array_equal(neg.u_star.values, -mp.u_star.values)
+    assert neg.energies == mp.energies and neg.iterations == mp.iterations
+
+
+def test_first_step_is_barzilai_borwein_clamped_or_the_doubled_step():
+    du = np.array([1.0, 2.0, 0.0])
+    # <du, du> / <du, dg> = 5 / 2.5
+    assert _first_step(du, np.array([0.5, 1.0, 7.0]), 0.25) == 2.0
+    assert _first_step(-du, -np.array([0.5, 1.0, 7.0]), 0.25) == 2.0
+    assert _first_step(du, 1e-6 * du, 0.25) == 1e3  # 1e6, capped
+    assert _first_step(du, 1e20 * du, 0.25) == 1e-12  # 1e-20, floored
+    # no positive finite curvature: the doubled previous step
+    for dg in ([-1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0]):
+        assert _first_step(du, np.array(dg), 0.25) == 0.25
+
+
+def test_mountain_pass_takes_its_first_trial_step_from_barzilai_borwein(monkeypatch):
+    # every iteration after the first asks for a Barzilai-Borwein step, but
+    # the converging one takes no step
+    prob, e = _criterion_11_endpoint()
+    steps, real = [], variational._first_step
+
+    def spy(du, dg, step):
+        steps.append((step, real(du, dg, step)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(variational, "_first_step", spy)
+    mp = mountain_pass_solve(prob, e)
+    assert mp.flags["converged"] and len(steps) == mp.iterations - 2
+    assert all(bb != doubled for doubled, bb in steps)  # <du, dg> > 0 at every one
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
